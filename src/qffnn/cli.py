@@ -126,15 +126,22 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  Exit 0 on success, 1 when the network verdicts
+    miss the target set, 2 on a usage error or input rejected with
+    ``ValueError`` (reported as one line on stderr)."""
     args = build_parser().parse_args(argv)
-    if args.command == "network":
-        return _cmd_network(args)
-    if args.command == "neuron":
-        return _cmd_neuron(args)
-    if args.command == "dump-circuit":
-        return _cmd_dump(args)
-    print(render_pattern(args.label))
-    return 0
+    try:
+        if args.command == "network":
+            return _cmd_network(args)
+        if args.command == "neuron":
+            return _cmd_neuron(args)
+        if args.command == "dump-circuit":
+            return _cmd_dump(args)
+        print(render_pattern(args.label))
+        return 0
+    except ValueError as exc:  # includes UnsupportedTopology
+        print(f"qffnn: error: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
 
 
 def cli_entry() -> None:

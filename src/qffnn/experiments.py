@@ -5,7 +5,7 @@ input label, in exact and/or shot-sampled form, optionally through the
 readout-noise and mitigation pipeline, and emits one machine-readable results
 document (JSON or CSV) plus a human summary.  Determinism: per-label random
 streams are derived from (seed, label, mode), so results do not depend on
-scheduling order and identical configurations produce byte-identical files.
+evaluation order and identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -204,9 +203,7 @@ def run_network_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     Exit code 0 iff all verdicts match the line-recognition target set."""
     net = config.network()
     num_labels = 1 << config.weights[0].m
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        rows = list(pool.map(lambda lbl: _evaluate_label(config, net, lbl), range(num_labels)))
-    rows.sort(key=lambda r: r["label"])
+    rows = [_evaluate_label(config, net, label) for label in range(num_labels)]
     primary = config.modes[0]
     correct = sum(1 for r in rows if r["verdict"] == r["target"])
     target_p = [r["p_out"][primary] for r in rows if r["target"]]

@@ -13,10 +13,14 @@ Conventions used throughout the package:
   decomposition into elementary gates is performed.
 
 Supported gates: H, X, Z, CZ, MCZ (phase flip where every participating qubit
-is 1) and MCX (NOT on the target where every control is 1).  The gate kernel
-is vectorized over a leading batch axis so that sampling many shots stays
-cheap; ``run_circuit`` simulates shots in chunks, each row of the chunk being
-one independent shot with its own measurement record.
+is 1) and MCX (NOT on the target where every control is 1).
+
+``run_circuit_exact`` is the one engine for circuits with measurements: it
+enumerates every measurement outcome as a branch with its probability, at
+most ``MAX_BRANCHES`` branches at a time.  ``run_circuit`` samples shots as a
+single multinomial draw from that exact law; shots are independent and
+identically distributed, so the counts follow the same distribution as
+running each shot on its own.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ import numpy as np
 SQRT_HALF = float(np.sqrt(0.5))
 ATOL = 1e-12
 MAX_QUBITS = 12
+MAX_BRANCHES = 8192
+# how far the exact outcome law may sum from 1 before sampling from it
+LAW_ATOL = 1e-9
 
 GATE_KINDS = ("H", "X", "Z", "CZ", "MCZ", "MCX")
 DIAGONAL_KINDS = frozenset({"Z", "CZ", "MCZ"})
@@ -280,7 +287,7 @@ def _indices_all_ones(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
 
 
 def _apply_gate_kernel(amps: np.ndarray, gate: GateOp, num_qubits: int) -> None:
-    """Apply ``gate`` in place to ``amps`` of shape (batch, 2**num_qubits)."""
+    """Apply ``gate`` in place to ``amps`` of shape (rows, 2**num_qubits)."""
     if gate.kind == "H":
         t = gate.targets[0]
         i0 = _indices_bit_clear(num_qubits, t)
@@ -391,78 +398,36 @@ def _bits_to_key(bits: Sequence[int], num_clbits: int) -> str:
     return "".join(str(int(bits[k])) for k in reversed(range(num_clbits)))
 
 
-def run_circuit(
-    circuit: Circuit,
-    shots: int,
-    rng: np.random.Generator,
-    chunk_shots: int = 8192,
-) -> Counts:
+def run_circuit(circuit: Circuit, shots: int, rng: np.random.Generator) -> Counts:
     """Sample ``shots`` independent executions of ``circuit``.
 
     Each shot starts in |0...0> with all classical bits 0; ops run in order,
     measurements collapse the shot's state and write its classical bits, and a
     conditioned gate fires only on shots whose referenced bit matches.  Shots
-    are simulated in batches (one array row per shot), which changes nothing
-    statistically but keeps the per-gate work vectorized.
+    are i.i.d., so the counts are one multinomial draw over the exact outcome
+    law of ``run_circuit_exact`` (which raises ``ValueError`` past
+    ``MAX_BRANCHES`` branches).  Outcomes are drawn in sorted key order, so a
+    seeded ``rng`` gives the same counts on every run; outcomes drawn zero
+    times are left out.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    circuit.validate()
-    n, nc = circuit.num_qubits, circuit.num_clbits
-    dim = 1 << n
-    basis = np.arange(dim)
-    # the unconditioned unitary prefix is identical for every shot: run it once
-    prefix_len = 0
-    for op in circuit.ops:
-        if isinstance(op, MeasureOp) or op.classical_condition is not None:
-            break
-        prefix_len += 1
-    prefix_state = np.zeros((1, dim), dtype=complex)
-    prefix_state[0, 0] = 1.0
-    for op in circuit.ops[:prefix_len]:
-        _apply_gate_kernel(prefix_state, op, n)
-    agg: dict[str, int] = {}
-    remaining = shots
-    while remaining > 0:
-        s = min(chunk_shots, remaining)
-        remaining -= s
-        amps = np.repeat(prefix_state, s, axis=0)
-        bits = np.zeros((s, max(nc, 1)), dtype=np.uint8)
-        for op in circuit.ops[prefix_len:]:
-            if isinstance(op, MeasureOp):
-                mask1 = (basis >> op.qubit) & 1 == 1
-                p1 = np.sum(np.abs(amps[:, mask1]) ** 2, axis=1)
-                outcomes = rng.random(s) < p1
-                keep = np.where(outcomes[:, None], mask1[None, :], ~mask1[None, :])
-                amps *= keep
-                p_sel = np.where(outcomes, p1, 1.0 - p1)
-                amps /= np.sqrt(np.maximum(p_sel, 1e-300))[:, None]
-                bits[:, op.clbit] = outcomes
-            elif op.classical_condition is None:
-                _apply_gate_kernel(amps, op, n)
-            else:
-                clbit, value = op.classical_condition
-                rows = bits[:, clbit] == value
-                if rows.any():
-                    sub = amps[rows]
-                    _apply_gate_kernel(sub, op, n)
-                    amps[rows] = sub
-        if nc:
-            packed = bits[:, :nc].astype(np.int64) @ (1 << np.arange(nc, dtype=np.int64))
-        else:
-            packed = np.zeros(s, dtype=np.int64)
-        values, cnts = np.unique(packed, return_counts=True)
-        for v, c in zip(values, cnts):
-            key = format(int(v), f"0{nc}b") if nc else ""
-            agg[key] = agg.get(key, 0) + int(c)
-    return Counts(agg, shots)
+    law = run_circuit_exact(circuit)
+    keys = sorted(law)
+    probs = np.array([law[k] for k in keys])
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= LAW_ATOL:
+        raise ValueError(f"outcome law sums to {total!r}, not 1 within {LAW_ATOL}")
+    draws = rng.multinomial(shots, probs / total)
+    return Counts({k: int(c) for k, c in zip(keys, draws) if c}, shots)
 
 
 def run_circuit_exact(circuit: Circuit) -> dict[str, float]:
     """Exact distribution over classical outcomes, the shots->infinity limit of
-    ``run_circuit``.  Measurements are enumerated as branches (at most one
-    branch per classical bit pattern), so mid-circuit measurement feeding a
-    classical condition is handled without Monte-Carlo error."""
+    ``run_circuit``.  Measurements are enumerated as branches, so mid-circuit
+    measurement feeding a classical condition is handled without Monte-Carlo
+    error.  A measurement that would leave more than ``MAX_BRANCHES`` branches
+    raises ``ValueError`` before their states are allocated."""
     circuit.validate()
     n, nc = circuit.num_qubits, circuit.num_clbits
     basis = np.arange(1 << n)
@@ -472,18 +437,23 @@ def run_circuit_exact(circuit: Circuit) -> dict[str, float]:
     for op in circuit.ops:
         if isinstance(op, MeasureOp):
             mask1 = (basis >> op.qubit) & 1 == 1
+            outcomes = []
+            for branch in branches:
+                p1 = float(np.sum(np.abs(branch[0][mask1]) ** 2))
+                outcomes += [(branch, o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if p > 0.0]
+            if len(outcomes) > MAX_BRANCHES:
+                raise ValueError(
+                    f"measuring qubit {op.qubit} would make {len(outcomes)} branches, "
+                    f"more than MAX_BRANCHES={MAX_BRANCHES}"
+                )
             split: list[tuple[np.ndarray, list[int], float]] = []
-            for amps, bits, prob in branches:
-                p1 = float(np.sum(np.abs(amps[mask1]) ** 2))
-                for outcome, p_sel in ((0, 1.0 - p1), (1, p1)):
-                    if p_sel <= 0.0:
-                        continue
-                    camps = amps.copy()
-                    camps[mask1 != bool(outcome)] = 0.0
-                    camps /= np.sqrt(p_sel)
-                    cbits = bits.copy()
-                    cbits[op.clbit] = outcome
-                    split.append((camps, cbits, prob * p_sel))
+            for (amps, bits, prob), outcome, p_sel in outcomes:
+                camps = amps.copy()
+                camps[mask1 != bool(outcome)] = 0.0
+                camps /= np.sqrt(p_sel)
+                cbits = bits.copy()
+                cbits[op.clbit] = outcome
+                split.append((camps, cbits, prob * p_sel))
             branches = split
         else:
             cond = op.classical_condition

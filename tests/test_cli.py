@@ -30,9 +30,9 @@ def test_render_blank_and_vertical(capsys):
     assert capsys.readouterr().out == ".#\n.#\n"
 
 
-def test_render_rejects_out_of_range_label():
-    with pytest.raises(ValueError):
-        main(["render", "16"])
+def test_render_rejects_out_of_range_label(capsys):
+    assert main(["render", "16"]) == 2
+    assert capsys.readouterr().err.startswith("qffnn: error: ")
 
 
 def test_neuron_matched_input(capsys):
@@ -148,3 +148,20 @@ def test_dump_circuit_to_file(tmp_path):
     main(["dump-circuit", "--mode", "coherent", "--input", "0", "--out", str(out)])
     lines = out.read_text().splitlines()
     assert sum(1 for line in lines if line.startswith("MCX")) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["network", "--eval", "sampled", "--shots", "0"],
+        ["neuron", "--eval", "sampled", "--shots", "0"],
+        ["network", "--weights", "99,1"],
+        ["dump-circuit", "--input", "99"],
+    ],
+)
+def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qffnn: error: ")
+    assert "Traceback" not in captured.err + captured.out

@@ -1,14 +1,18 @@
 """Statevector engine tests: gate action, measurement, sampling vs exact
 branch enumeration, deferred measurement, partial trace."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qffnn.simulator import (
+    MAX_BRANCHES,
     Circuit,
     GateOp,
+    MeasureOp,
     StateVector,
     apply_gate,
     cz,
@@ -275,6 +279,73 @@ def test_sampled_counts_match_exact_distribution(seed):
         p = min(max(p, 0.0), 1.0)
         sigma = np.sqrt(p * (1.0 - p) / shots)
         assert abs(counts.frequency(key) - p) <= 5 * sigma + 1e-9
+
+
+def reference_counts(circuit: Circuit, shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """Per-shot sampler built only on apply_gate and measure_qubit: each shot
+    runs the circuit on its own state and classical register."""
+    counts: dict[str, int] = {}
+    for _ in range(shots):
+        state = StateVector.zero(circuit.num_qubits)
+        bits = [0] * circuit.num_clbits
+        for op in circuit.ops:
+            if isinstance(op, MeasureOp):
+                bits[op.clbit], state = measure_qubit(state, op.qubit, rng)
+                continue
+            cond = op.classical_condition
+            if cond is None or bits[cond[0]] == cond[1]:
+                state = apply_gate(state, GateOp(op.kind, op.targets, op.controls))
+        key = "".join(str(b) for b in reversed(bits))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_reference_sampler_matches_exact_distribution(seed):
+    rng = np.random.default_rng(seed)
+    circuit = _random_circuit(rng, num_qubits=7, num_gates=30, num_clbits=3)
+    exact = run_circuit_exact(circuit)
+    shots = 1500
+    counts = reference_counts(circuit, shots, np.random.default_rng(seed + 2000))
+    assert set(counts) <= set(exact)
+    for key, p in exact.items():
+        p = min(max(p, 0.0), 1.0)
+        sigma = np.sqrt(p * (1.0 - p) / shots)
+        assert abs(counts.get(key, 0) / shots - p) <= 5 * sigma + 1e-9
+
+
+def _alternating_h_measure(num_measurements: int) -> Circuit:
+    circuit = Circuit(1, 1)
+    for _ in range(num_measurements):
+        circuit.append(h(0))
+        circuit.measure(0, 0)
+    return circuit
+
+
+def test_run_circuit_exact_caps_branches():
+    # every H-then-measure doubles the branches: 14 rounds would make 2**14
+    assert MAX_BRANCHES == 2**13
+    with pytest.raises(ValueError, match="16384 branches.*8192"):
+        run_circuit_exact(_alternating_h_measure(14))
+
+
+def test_branch_cap_raises_before_allocating_branch_states(monkeypatch):
+    import qffnn.simulator
+
+    monkeypatch.setattr(qffnn.simulator, "MAX_BRANCHES", 2**9)
+    tracemalloc.start()
+    try:
+        dist = run_circuit_exact(_alternating_h_measure(9))
+        _, peak_at_cap = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(ValueError, match="1024 branches.*512"):
+            run_circuit_exact(_alternating_h_measure(10))
+        _, peak_past_cap = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(sum(dist.values()) - 1.0) < ATOL
+    # allocating the 1024 branch states would about double the peak
+    assert peak_past_cap < 1.5 * peak_at_cap
 
 
 @pytest.mark.parametrize("seed", range(12))
