@@ -70,8 +70,6 @@ def parse_circuit(text: str) -> Circuit:
             qubits = [int(t) for t in tokens[1:]]
             if head == "MCX":
                 op = GateOp(head, (qubits[0],), tuple(qubits[1:]), condition)
-            elif head in ("CZ", "MCZ"):
-                op = GateOp(head, tuple(qubits), (), condition)
             else:
                 op = GateOp(head, tuple(qubits), (), condition)
             ops.append(op)

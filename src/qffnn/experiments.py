@@ -32,7 +32,7 @@ from .network import (
 )
 from .neuron import BinaryVector, neuron_circuit, simulated_activation_probability
 from .noise import ReadoutErrorModel, build_calibration, mitigate, noisy_counts
-from .simulator import run_circuit
+from .simulator import Counts, run_circuit
 
 MODES = ("hybrid", "coherent", "both")
 EVALUATIONS = ("exact", "sampled")
@@ -157,15 +157,15 @@ class ExperimentConfig:
 
 
 def _estimate_sampled(
-    config: ExperimentConfig, net: NetworkSpec, vec: BinaryVector, mode: str, rng: np.random.Generator
+    counts: Counts, noise: tuple[float, float] | None, apply_mitigation: bool, rng: np.random.Generator
 ) -> tuple[float, dict[str, int]]:
-    counts = sampled_counts(net, vec, mode, config.shots, rng)
-    if config.noise is not None:
-        model = ReadoutErrorModel(*config.noise)
+    """Output-bit estimate from shot counts, read out through the noise model
+    and, when asked, mitigated; returned with the counts as read out."""
+    if noise is not None:
+        model = ReadoutErrorModel(*noise)
         counts = noisy_counts(counts, model, rng)
-        if config.mitigate:
-            cal = build_calibration(model, counts.num_clbits())
-            corrected = mitigate(counts, cal)
+        if apply_mitigation:
+            corrected = mitigate(counts, build_calibration(model, counts.num_clbits()))
             return output_probability_from_vector(corrected), dict(counts.counts)
     return counts.marginal_probability(0), dict(counts.counts)
 
@@ -188,9 +188,9 @@ def _evaluate_label(config: ExperimentConfig, net: NetworkSpec, label: int) -> d
             row["p_out"][mode] = result.p_out
         else:
             rng = np.random.default_rng([config.seed, label, mode_idx])
-            p, raw = _estimate_sampled(config, net, vec, mode, rng)
-            row["p_out"][mode] = p
-            counts[mode] = raw
+            row["p_out"][mode], counts[mode] = _estimate_sampled(
+                sampled_counts(net, vec, mode, config.shots, rng), config.noise, config.mitigate, rng
+            )
     if counts:
         row["counts"] = counts
     primary = config.modes[0]
@@ -275,17 +275,7 @@ def run_neuron_experiment(
     if evaluation == "sampled":
         rng = np.random.default_rng([seed, input_vec.label()])
         counts = run_circuit(neuron_circuit(input_vec, weight), shots, rng)
-        if noise is not None:
-            model = ReadoutErrorModel(*noise)
-            counts = noisy_counts(counts, model, rng)
-            if apply_mitigation:
-                corrected = mitigate(counts, build_calibration(model, 1))
-                report["p"] = float(corrected[1])
-                report["counts"] = dict(counts.counts)
-                report["shots"] = shots
-                return report
-        report["p"] = counts.marginal_probability(0)
-        report["counts"] = dict(counts.counts)
+        report["p"], report["counts"] = _estimate_sampled(counts, noise, apply_mitigation, rng)
         report["shots"] = shots
     else:
         report["p"] = report["exact_p"]

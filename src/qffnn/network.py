@@ -4,10 +4,14 @@ Two execution modes are provided.
 
 Hybrid mode: each node runs on its own small register; measuring its ancilla
 yields a classical bit, and the bits of one layer program the input
-preparation of the next (bit 0 -> entry +1, bit 1 -> entry -1).  The exact
-executor computes every node's activation by statevector simulation and
-convolves the per-node Bernoulli laws analytically over all intermediate bit
-patterns; the sampled executor draws shot-level outcomes.
+preparation of the next (bit 0 -> entry +1, bit 1 -> entry -1).  One forward
+pass carries the law of each layer's measured bit pattern to the next layer,
+simulating every node once per distinct fed-forward input.  Each layer costs
+up to 2**(width of the layer before) times 2**(its own width), and the costs
+add across layers instead of multiplying.  The exact output, the hidden-layer
+law and deep shot sampling all read this pass; two-layer networks of the
+combined-circuit class also run shot by shot as one circuit with mid-circuit
+measurement.
 
 Coherent mode: the same network as one measurement-free circuit.  By the
 deferred-measurement principle the classically conditioned phase flips of the
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +61,7 @@ class UnsupportedTopology(ValueError):
     """Raised when an executor does not cover the requested network shape."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerSpec:
     neurons: tuple[NeuronSpec, ...]
 
@@ -71,7 +75,7 @@ class LayerSpec:
             used.update(spec.all_qubits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NetworkSpec:
     """Layer stack plus synapse wiring.
 
@@ -162,13 +166,13 @@ class NetworkSpec:
         return cls.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HiddenOutcome:
     bits: tuple[int, ...]
     probability: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunResult:
     input_label: int
     p_out: float
@@ -212,24 +216,32 @@ def _first_layer_inputs(net: NetworkSpec, input_vec: BinaryVector) -> list[Binar
     return [input_vec] * len(net.layers[0].neurons)
 
 
-def _exact_output_law(net: NetworkSpec, layer_idx: int, inputs: list[BinaryVector]) -> float:
-    layer = net.layers[layer_idx]
-    ps = [simulated_activation_probability(vec, spec.weight) for vec, spec in zip(inputs, layer.neurons)]
-    if layer_idx == len(net.layers) - 1:
-        return ps[0]
-    total = 0.0
-    for bits in product((0, 1), repeat=len(layer.neurons)):
-        weight = 1.0
-        for p, b in zip(ps, bits):
-            weight *= p if b else 1.0 - p
-        if weight == 0.0:
-            continue
-        next_inputs = [
-            feedforward_input([bits[f] for f in feeders])
-            for feeders in net.synapses[layer_idx]
-        ]
-        total += weight * _exact_output_law(net, layer_idx + 1, next_inputs)
-    return total
+def _layer_laws(net: NetworkSpec, input_vec: BinaryVector) -> Iterator[np.ndarray]:
+    """Forward pass of the hybrid network: yield, layer by layer, the law of
+    that layer's measured bit pattern as a vector of length 2**width whose
+    index bit k is node k's outcome.  Each node is simulated once per distinct
+    fed-forward input, and patterns of zero weight feed nothing forward."""
+    activations: dict[tuple[BinaryVector, BinaryVector], float] = {}
+
+    def pattern_law(inputs: Sequence[BinaryVector], specs: Sequence[NeuronSpec]) -> np.ndarray:
+        law = np.ones(1)
+        for vec, spec in zip(inputs, specs):
+            key = (vec, spec.weight)
+            if key not in activations:
+                activations[key] = simulated_activation_probability(vec, spec.weight)
+            p = activations[key]
+            law = np.concatenate((law * (1.0 - p), law * p))
+        return law
+
+    law = pattern_law(_first_layer_inputs(net, input_vec), net.layers[0].neurons)
+    yield law
+    for layer, layer_map in zip(net.layers[1:], net.synapses):
+        next_law = np.zeros(1 << len(layer.neurons))
+        for pattern in np.flatnonzero(law).tolist():
+            inputs = [feedforward_input([(pattern >> f) & 1 for f in feeders]) for feeders in layer_map]
+            next_law += law[pattern] * pattern_law(inputs, layer.neurons)
+        law = next_law
+        yield law
 
 
 def _clamp_probability(p: float) -> float:
@@ -248,32 +260,26 @@ def hybrid_exact(
     input_vec: BinaryVector,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> RunResult:
-    """Exact output law of the hybrid network: per-node activations are
-    simulated, and the total activation probability is the convolution of the
-    per-node Bernoulli laws over all intermediate bit patterns.  Handles any
-    depth; cost grows with 2**(layer width)."""
+    """Exact output law of the hybrid network, read from the last law of the
+    forward pass.  Handles any depth; each layer costs up to 2**(width of the
+    layer before) times 2**(its own width), added across layers."""
     if len(net.layers) < 2:
         raise UnsupportedTopology("feed-forward execution needs at least two layers")
     net.output_neuron  # validates single output node
-    p = _exact_output_law(net, 0, _first_layer_inputs(net, input_vec))
-    return _result(input_vec, p, "hybrid", None, threshold)
+    *_, law = _layer_laws(net, input_vec)
+    return _result(input_vec, float(law[1]), "hybrid", None, threshold)
 
 
 def hidden_outcome_distribution(net: NetworkSpec, input_vec: BinaryVector) -> list[HiddenOutcome]:
-    """Joint law of the first hidden layer's measured bits (product of the
-    per-node Bernoulli laws), in lexicographic bit order."""
+    """Joint law of the first hidden layer's measured bits (the first law of
+    the forward pass), in lexicographic bit order."""
     if len(net.layers) < 2:
         raise UnsupportedTopology("no hidden layer")
-    layer = net.layers[0]
-    inputs = _first_layer_inputs(net, input_vec)
-    ps = [simulated_activation_probability(vec, spec.weight) for vec, spec in zip(inputs, layer.neurons)]
-    outcomes = []
-    for bits in product((0, 1), repeat=len(layer.neurons)):
-        weight = 1.0
-        for p, b in zip(ps, bits):
-            weight *= p if b else 1.0 - p
-        outcomes.append(HiddenOutcome(bits, weight))
-    return outcomes
+    law = next(_layer_laws(net, input_vec))
+    return [
+        HiddenOutcome(bits, float(law[sum(b << k for k, b in enumerate(bits))]))
+        for bits in product((0, 1), repeat=len(net.layers[0].neurons))
+    ]
 
 
 def _figure_style_class(net: NetworkSpec) -> tuple[NeuronSpec, ...]:
@@ -371,33 +377,6 @@ def coherent_exact(
     return _result(input_vec, rho.excited_population, "coherent", None, threshold)
 
 
-def _sampled_deep(
-    net: NetworkSpec, input_vec: BinaryVector, shots: int, rng: np.random.Generator
-) -> float:
-    """Shot sampling for networks beyond the combined-circuit class: walk the
-    layers, drawing every node's Bernoulli outcome per shot from its simulated
-    activation for the shot's fed-forward input."""
-    first = net.layers[0].neurons
-    _first_layer_inputs(net, input_vec)
-    bits = np.empty((shots, len(first)), dtype=np.uint8)
-    for k, spec in enumerate(first):
-        p = simulated_activation_probability(input_vec, spec.weight)
-        bits[:, k] = rng.random(shots) < p
-    for layer_idx in range(1, len(net.layers)):
-        layer = net.layers[layer_idx]
-        new_bits = np.empty((shots, len(layer.neurons)), dtype=np.uint8)
-        for j, spec in enumerate(layer.neurons):
-            feeders = list(net.synapses[layer_idx - 1][j])
-            packed = bits[:, feeders].astype(np.int64) @ (1 << np.arange(len(feeders), dtype=np.int64))
-            table = np.empty(1 << len(feeders))
-            for pattern in range(1 << len(feeders)):
-                fed = feedforward_input([(pattern >> b) & 1 for b in range(len(feeders))])
-                table[pattern] = simulated_activation_probability(fed, spec.weight)
-            new_bits[:, j] = rng.random(shots) < table[packed]
-        bits = new_bits
-    return float(bits[:, 0].mean())
-
-
 def hybrid_sampled(
     net: NetworkSpec,
     input_vec: BinaryVector,
@@ -406,14 +385,15 @@ def hybrid_sampled(
     threshold: float = DEFAULT_THRESHOLD,
 ) -> RunResult:
     """Shot-sampled hybrid run.  Two-layer networks run as the single combined
-    circuit with mid-circuit measurement and classical control; deeper stacks
-    fall back to layer-by-layer sampling."""
+    circuit with mid-circuit measurement and classical control.  For other
+    topologies the shots are i.i.d. draws of the output bit, so their count is
+    one binomial draw from the exact output law of the forward pass."""
     try:
         circuit = build_hybrid_circuit(net, input_vec)
     except UnsupportedTopology:
         if len(net.layers) < 2:
             raise
-        p = _sampled_deep(net, input_vec, shots, rng)
+        p = int(rng.binomial(shots, hybrid_exact(net, input_vec).p_out)) / shots
     else:
         counts = run_circuit(circuit, shots, rng)
         p = counts.marginal_probability(0)

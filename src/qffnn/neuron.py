@@ -42,7 +42,7 @@ from .simulator import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryVector:
     """Sign vector with entries in {-1, +1} and power-of-two length."""
 
@@ -83,7 +83,7 @@ class BinaryVector:
         return sum(a * b for a, b in zip(self.entries, other.entries))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeuronSpec:
     """One node: weight vector plus its qubit assignment.
 

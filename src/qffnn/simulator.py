@@ -191,16 +191,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(num_qubits, amps)
 
-    @classmethod
-    def from_amplitudes(cls, amplitudes: Sequence[complex]) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        n = int(amps.size).bit_length() - 1
-        if amps.ndim != 1 or amps.size != 1 << n or not 1 <= n <= MAX_QUBITS:
-            raise ValueError("amplitude array length must be 2**n with 1 <= n <= 12")
-        if abs(np.linalg.norm(amps) - 1.0) > ATOL:
-            raise ValueError("state is not normalized")
-        return cls(n, amps.copy())
-
     def copy(self) -> "StateVector":
         return StateVector(self.num_qubits, self.amplitudes.copy())
 

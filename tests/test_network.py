@@ -239,6 +239,17 @@ def deep_network() -> NetworkSpec:
     )
 
 
+def quarter_activation_network() -> NetworkSpec:
+    """4-2-1 network on input label 0 whose first-layer weights each differ
+    from the input in one or three entries: every first-layer activation is
+    0.25, so every first-layer pattern has non-zero weight.  Two first-layer
+    nodes share a weight, so one node input recurs within a pass."""
+    first = LayerSpec(tuple(NeuronSpec(label(w), (3 * k, 3 * k + 1), 3 * k + 2) for k, w in enumerate((1, 2, 1, 14))))
+    second = LayerSpec((NeuronSpec(label(1), (0, 1), 2), NeuronSpec(label(7), (3, 4), 5)))
+    out = LayerSpec((NeuronSpec(BinaryVector((1, -1)), (0,), None),))
+    return NetworkSpec((first, second, out), (((0, 1, 2, 3), (3, 1, 0, 2)), ((0, 1),)))
+
+
 def brute_force_output_law(net: NetworkSpec, input_vec: BinaryVector) -> float:
     """Independent oracle: enumerate every bit pattern of every layer with the
     closed-form activation law."""
@@ -266,9 +277,9 @@ def brute_force_output_law(net: NetworkSpec, input_vec: BinaryVector) -> float:
 
 
 def test_deep_network_exact_matches_brute_force():
-    net = deep_network()
-    for n in range(16):
-        assert abs(hybrid_exact(net, label(n)).p_out - brute_force_output_law(net, label(n))) < ATOL
+    for net in (deep_network(), quarter_activation_network()):
+        for n in range(16):
+            assert abs(hybrid_exact(net, label(n)).p_out - brute_force_output_law(net, label(n))) < ATOL
 
 
 def test_deep_network_sampled_tracks_exact():
@@ -280,6 +291,36 @@ def test_deep_network_sampled_tracks_exact():
         result = hybrid_sampled(net, label(n), shots, rng)
         sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
         assert abs(result.p_out - exact) <= 5 * sigma + 1e-9
+
+
+def test_deep_network_sampled_tracks_brute_force():
+    # deep sampling draws from the forward pass; check it against the
+    # enumeration oracle, which shares no code with that pass
+    rng = np.random.default_rng(2019)
+    shots = 20_000
+    for net, n in product((deep_network(), quarter_activation_network()), range(16)):
+        exact = brute_force_output_law(net, label(n))
+        result = hybrid_sampled(net, label(n), shots, rng)
+        sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
+        assert abs(result.p_out - exact) <= 5 * sigma + 1e-9
+        assert result.mode == "hybrid-sampled" and result.shots == shots
+
+
+def test_forward_pass_simulates_each_distinct_node_input_once(monkeypatch):
+    import qffnn.network as network_module
+
+    net = quarter_activation_network()
+    assert all(activation_probability(label(0), spec.weight) == 0.25 for spec in net.layers[0].neurons)
+    calls = []
+
+    def recording(vec, weight):
+        calls.append((vec, weight))
+        return simulated_activation_probability(vec, weight)
+
+    monkeypatch.setattr(network_module, "simulated_activation_probability", recording)
+    p_out = hybrid_exact(net, label(0)).p_out
+    assert len(calls) == len(set(calls))
+    assert abs(p_out - brute_force_output_law(net, label(0))) < ATOL
 
 
 def test_coherent_mode_rejects_deep_networks():
