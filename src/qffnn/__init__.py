@@ -2,74 +2,10 @@
 
 Sign-vector perceptron nodes on log2(m) qubits, assembled into layered
 networks that run either hybrid (mid-circuit measurement plus classical
-control) or fully coherent (CZ synapses plus partial-trace readout), with an
-optional readout-noise and mitigation layer and a CLI reproducing the 2x2
-line-recognition experiment.
+control) or fully coherent (the deferred-measurement form of the hybrid
+circuit, read out by partial trace), with an optional readout-noise and
+mitigation layer and a CLI reproducing the 2x2 line-recognition experiment.
+Import the modules (``from qffnn import network, neuron``) for the API.
 """
 
-from .network import (
-    HiddenOutcome,
-    LayerSpec,
-    NetworkSpec,
-    RunResult,
-    UnsupportedTopology,
-    build_hybrid_circuit,
-    classify,
-    coherent_circuit,
-    coherent_exact,
-    coherent_measured_circuit,
-    coherent_sampled,
-    coherent_state,
-    feedforward_input,
-    hidden_outcome_distribution,
-    hybrid_exact,
-    hybrid_sampled,
-    line_recognition_network,
-    sampled_counts,
-)
-from .neuron import (
-    BinaryVector,
-    NeuronSpec,
-    activation_gate,
-    activation_probability,
-    hypergraph_sign_synthesis,
-    input_preparation_ops,
-    neuron_circuit,
-    node_ops,
-    rew_state,
-    simulated_activation_probability,
-    weight_transform_ops,
-)
-from .noise import (
-    CalibrationMatrix,
-    ReadoutErrorModel,
-    apply_readout_noise,
-    build_calibration,
-    mitigate,
-    noisy_counts,
-)
-from .simulator import (
-    Circuit,
-    Counts,
-    DensityMatrix2,
-    GateOp,
-    MeasureOp,
-    StateVector,
-    apply_gate,
-    cz,
-    exact_probabilities,
-    h,
-    mcx,
-    mcz,
-    measure_qubit,
-    reduced_density_matrix,
-    run_circuit,
-    run_circuit_exact,
-    simulate_state,
-    states_equal_up_to_phase,
-    x,
-    z,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

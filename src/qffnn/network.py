@@ -10,16 +10,17 @@ simulating every node once per distinct fed-forward input.  Each layer costs
 up to 2**(width of the layer before) times 2**(its own width), and the costs
 add across layers instead of multiplying.  The exact output, the hidden-layer
 law and deep shot sampling all read this pass; two-layer networks of the
-combined-circuit class also run shot by shot as one circuit with mid-circuit
-measurement.
+combined-circuit class also run as one circuit with mid-circuit measurement.
 
-Coherent mode: the same network as one measurement-free circuit.  By the
-deferred-measurement principle the classically conditioned phase flips of the
-hybrid output stage become CZ gates from each hidden ancilla to the output
-qubit, and the output probability is read from the reduced density matrix of
-the output qubit.  This construction covers two-layer networks whose output
-node sits on a single qubit fed by exactly two hidden nodes (one CZ per
-synapse); deeper or wider topologies run in hybrid mode only.
+Coherent mode: the same network as one circuit without mid-circuit
+measurement.  It is derived from the combined hybrid circuit by the
+deferred-measurement principle (``defer_measurements``): each classically
+conditioned phase flip of the output stage becomes a CZ from the hidden
+ancilla to the output qubit, and the output probability is read from the
+reduced density matrix of the qubit measured into classical bit 0.  Coherent
+mode therefore covers exactly the networks the combined circuit covers:
+two-layer networks whose single-qubit output node is fed once by every
+hidden node; deeper topologies run in hybrid mode only.
 
 Classical bit layout of sampled circuits: bit 0 carries the network output,
 bits 1..l hold the hidden-node outcomes in layer order.
@@ -45,8 +46,8 @@ from .neuron import (
 from .simulator import (
     Circuit,
     Counts,
-    StateVector,
-    cz,
+    MeasureOp,
+    defer_measurements,
     h,
     reduced_density_matrix,
     run_circuit,
@@ -282,9 +283,13 @@ def hidden_outcome_distribution(net: NetworkSpec, input_vec: BinaryVector) -> li
     ]
 
 
-def _figure_style_class(net: NetworkSpec) -> tuple[NeuronSpec, ...]:
-    """Validate the two-layer, single-qubit-output shape shared by the sampled
-    hybrid circuit and the coherent circuit; returns the hidden specs."""
+def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
+    """One circuit for the whole hybrid run of a two-layer network whose
+    single-qubit output node is fed once by every hidden node: every hidden
+    node prepared, activated and measured mid-circuit, then the output qubit
+    prepared with a Hadamard plus one conditioned Z per hidden bit,
+    weight-transformed, and measured.  Classical bit 0 is the output, bit k
+    the k-th hidden node."""
     if len(net.layers) != 2:
         raise UnsupportedTopology("combined circuit construction covers two-layer networks")
     out = net.output_neuron
@@ -294,27 +299,15 @@ def _figure_style_class(net: NetworkSpec) -> tuple[NeuronSpec, ...]:
     feeders = net.synapses[0][0]
     if len(feeders) != len(hidden) or sorted(feeders) != list(range(len(hidden))):
         raise UnsupportedTopology("output node must be fed by every hidden node exactly once")
-    for spec in hidden:
-        if spec.ancilla_qubit is None:
-            raise UnsupportedTopology("hidden nodes need an ancilla")
+    if any(spec.ancilla_qubit is None for spec in hidden):
+        raise UnsupportedTopology("hidden nodes need an ancilla")
     qubits = [q for spec in hidden for q in spec.all_qubits] + list(out.all_qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubit assignments overlap across layers")
-    return tuple(hidden[f] for f in feeders)
-
-
-def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
-    """One circuit for the whole hybrid run: every hidden node prepared,
-    activated and measured mid-circuit, then the output qubit prepared with a
-    Hadamard plus one conditioned Z per hidden bit, weight-transformed, and
-    measured.  Classical bit 0 is the output, bit k the k-th hidden node."""
-    fed = _figure_style_class(net)
     _first_layer_inputs(net, input_vec)
-    out = net.output_neuron
+    fed = [hidden[f] for f in feeders]
     out_qubit = out.encoding_qubits[0]
-    num_qubits = max(q for spec in net.layers[0].neurons for q in spec.all_qubits)
-    num_qubits = max(num_qubits, max(out.all_qubits)) + 1
-    circuit = Circuit(num_qubits, len(fed) + 1)
+    circuit = Circuit(max(qubits) + 1, len(fed) + 1)
     for spec in fed:
         circuit.extend(node_ops(input_vec, spec))
     for k, spec in enumerate(fed, start=1):
@@ -331,38 +324,22 @@ def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
     return circuit
 
 
-def coherent_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
-    """Measurement-free equivalent of the hybrid circuit: the conditioned Z
-    gates become CZ gates from each hidden ancilla to the output qubit."""
-    fed = _figure_style_class(net)
-    _first_layer_inputs(net, input_vec)
-    out = net.output_neuron
-    if out.ancilla_qubit is not None:
-        raise UnsupportedTopology("coherent output node is read out directly, without ancilla")
-    out_qubit = out.encoding_qubits[0]
-    num_qubits = max(q for spec in net.layers[0].neurons for q in spec.all_qubits)
-    num_qubits = max(num_qubits, out_qubit) + 1
-    circuit = Circuit(num_qubits)
-    for spec in fed:
-        circuit.extend(node_ops(input_vec, spec))
-    circuit.append(h(out_qubit))
-    for spec in fed:
-        circuit.append(cz(spec.ancilla_qubit, out_qubit))
-    circuit.extend(weight_transform_ops(out.weight, out.encoding_qubits))
-    return circuit
-
-
 def coherent_measured_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
-    """Coherent circuit plus a single end measurement of the output qubit into
-    classical bit 0; hidden registers are left unmeasured."""
-    circuit = coherent_circuit(net, input_vec)
+    """Coherent form of the hybrid circuit: ``defer_measurements`` turns each
+    conditioned Z into a CZ from the hidden ancilla to the output qubit, and
+    only the end measurement of the output into classical bit 0 is kept;
+    hidden registers are left unmeasured."""
+    circuit = defer_measurements(build_hybrid_circuit(net, input_vec))
+    circuit.ops = [op for op in circuit.ops if not (isinstance(op, MeasureOp) and op.clbit)]
     circuit.num_clbits = 1
-    circuit.measure(net.output_neuron.encoding_qubits[0], 0)
     return circuit
 
 
-def coherent_state(net: NetworkSpec, input_vec: BinaryVector) -> StateVector:
-    return simulate_state(coherent_circuit(net, input_vec))
+def coherent_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
+    """Measurement-free coherent circuit: the gates of
+    ``coherent_measured_circuit``."""
+    circuit = coherent_measured_circuit(net, input_vec)
+    return Circuit(circuit.num_qubits, 0, circuit.ops[:-1])
 
 
 def coherent_exact(
@@ -370,11 +347,13 @@ def coherent_exact(
     input_vec: BinaryVector,
     threshold: float = DEFAULT_THRESHOLD,
 ) -> RunResult:
-    """Exact coherent run: simulate the measurement-free circuit, trace out
-    everything but the output qubit, and read the excited population."""
-    state = coherent_state(net, input_vec)
-    rho = reduced_density_matrix(state, net.output_neuron.encoding_qubits[0])
-    return _result(input_vec, rho.excited_population, "coherent", None, threshold)
+    """Exact coherent run: simulate the gates of the coherent circuit, trace
+    out everything but the qubit it measures into bit 0, and read the
+    excited population."""
+    circuit = coherent_measured_circuit(net, input_vec)
+    *gates, readout = circuit.ops
+    rho = reduced_density_matrix(simulate_state(Circuit(circuit.num_qubits, 0, gates)), readout.qubit)
+    return _result(input_vec, float(rho[1, 1].real), "coherent", None, threshold)
 
 
 def hybrid_sampled(
@@ -400,17 +379,6 @@ def hybrid_sampled(
     return _result(input_vec, p, "hybrid-sampled", shots, threshold)
 
 
-def coherent_sampled(
-    net: NetworkSpec,
-    input_vec: BinaryVector,
-    shots: int,
-    rng: np.random.Generator,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> RunResult:
-    counts = run_circuit(coherent_measured_circuit(net, input_vec), shots, rng)
-    return _result(input_vec, counts.marginal_probability(0), "coherent-sampled", shots, threshold)
-
-
 def sampled_counts(
     net: NetworkSpec,
     input_vec: BinaryVector,
@@ -432,10 +400,3 @@ def output_probability_from_vector(probabilities: np.ndarray) -> float:
     (classical bit 0, the output, is the least significant index bit)."""
     idx = np.arange(probabilities.size)
     return float(probabilities[idx & 1 == 1].sum())
-
-
-def classify(result: RunResult, threshold: float = DEFAULT_THRESHOLD) -> bool:
-    """Verdict of a run: activation probability strictly above the threshold."""
-    if not 0.0 <= result.p_out <= 1.0:
-        raise ValueError("p_out outside [0, 1]")
-    return result.p_out > threshold

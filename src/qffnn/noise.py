@@ -12,7 +12,6 @@ noise) are clipped and the vector renormalized.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -55,18 +54,6 @@ class CalibrationMatrix:
             raise ValueError("calibration matrix shape does not match num_bits")
         if np.abs(self.matrix.sum(axis=0) - 1.0).max() > ATOL:
             raise ValueError("calibration matrix columns must sum to 1")
-
-
-def apply_readout_noise(
-    bits: Sequence[int], model: ReadoutErrorModel, rng: np.random.Generator
-) -> tuple[int, ...]:
-    """Flip each bit of one shot's outcome with its asymmetric error rate."""
-    flips = rng.random(len(bits))
-    out = []
-    for b, u in zip(bits, flips):
-        p_flip = model.p01 if b == 0 else model.p10
-        out.append(b ^ (u < p_flip))
-    return tuple(int(b) for b in out)
 
 
 def build_calibration(model: ReadoutErrorModel, num_bits: int) -> CalibrationMatrix:

@@ -15,6 +15,11 @@ Conventions used throughout the package:
 Supported gates: H, X, Z, CZ, MCZ (phase flip where every participating qubit
 is 1) and MCX (NOT on the target where every control is 1).
 
+``defer_measurements`` rewrites a circuit with mid-circuit measurement and
+classical control into one whose measurements all come last, turning each
+classically conditioned gate into a quantum-controlled one; the outcome law
+is unchanged.
+
 ``run_circuit_exact`` is the one engine for circuits with measurements: it
 enumerates every measurement outcome as a branch with its probability, at
 most ``MAX_BRANCHES`` branches at a time.  ``run_circuit`` samples shots as a
@@ -176,6 +181,46 @@ class Circuit:
                     raise ValueError(f"condition reads classical bit {clbit} before any measurement writes it")
 
 
+def defer_measurements(circuit: Circuit) -> Circuit:
+    """Equivalent circuit with every measurement moved to the end, in order.
+
+    A gate conditioned on classical bit c holding v becomes the same gate with
+    the qubit last measured into c as an extra control (Z, CZ -> CZ, MCZ;
+    X, MCX -> MCX), wrapped in X on that qubit when v is 0.  Since no gate
+    touches a qubit after its measurement, the joint outcome law over the
+    classical bits is unchanged.  Raises ``ValueError`` for a conditioned gate
+    without a controlled form (H) and for a gate on an already measured qubit.
+    """
+    circuit.validate()
+    source: dict[int, int] = {}  # clbit -> qubit last measured into it
+    measured: set[int] = set()
+    gates: list[CircuitOp] = []
+    measures: list[CircuitOp] = []
+    for op in circuit.ops:
+        if isinstance(op, MeasureOp):
+            source[op.clbit] = op.qubit
+            measured.add(op.qubit)
+            measures.append(op)
+            continue
+        touched = measured.intersection(op.participants)
+        if touched:
+            raise ValueError(f"{op.kind} acts on qubit {min(touched)} after it is measured")
+        if op.classical_condition is None:
+            gates.append(op)
+            continue
+        clbit, value = op.classical_condition
+        control = source[clbit]
+        if op.kind in DIAGONAL_KINDS:
+            gate = GateOp("CZ" if op.kind == "Z" else "MCZ", op.participants + (control,))
+        elif op.kind in ("X", "MCX"):
+            gate = mcx(op.controls + (control,), op.targets[0])
+        else:
+            raise ValueError(f"conditioned {op.kind} has no controlled form")
+        flip = [] if value else [x(control)]
+        gates += flip + [gate] + flip
+    return Circuit(circuit.num_qubits, circuit.num_clbits, gates + measures)
+
+
 @dataclass
 class StateVector:
     """Pure state of ``num_qubits`` qubits; ``amplitudes`` has length 2**n."""
@@ -196,30 +241,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
-class DensityMatrix2:
-    """Single-qubit density matrix (2x2, Hermitian, unit trace, PSD)."""
-
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.entries, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix")
-        if not np.allclose(m, m.conj().T, atol=ATOL):
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > ATOL or abs(np.trace(m).imag) > ATOL:
-            raise ValueError("density matrix trace is not 1")
-        if np.linalg.eigvalsh(m).min() < -ATOL:
-            raise ValueError("density matrix has a negative eigenvalue")
-        self.entries = m
-
-    @property
-    def excited_population(self) -> float:
-        """Probability of reading 1, i.e. the (1,1) diagonal entry."""
-        return float(self.entries[1, 1].real)
 
 
 @dataclass
@@ -254,6 +275,8 @@ class Counts:
 
     def marginal_probability(self, clbit: int, value: int = 1) -> float:
         """Fraction of shots where the given classical bit reads ``value``."""
+        if not 0 <= clbit < self.num_clbits():
+            raise ValueError(f"classical bit {clbit} out of range for {self.num_clbits()}-bit counts")
         hits = 0
         for key, cnt in self.counts.items():
             if int(key[len(key) - 1 - clbit]) == value:
@@ -373,15 +396,19 @@ def measure_qubit(
     return outcome, StateVector(state.num_qubits, amps)
 
 
-def reduced_density_matrix(state: StateVector, keep: int) -> DensityMatrix2:
-    """Partial trace over every qubit except ``keep``."""
+def reduced_density_matrix(state: StateVector, keep: int) -> np.ndarray:
+    """Partial trace over every qubit except ``keep``: the 2x2 density matrix
+    of that qubit, whose (1, 1) entry is the probability of reading 1."""
     if not 0 <= keep < state.num_qubits:
         raise ValueError(f"qubit {keep} out of range")
     n = state.num_qubits
     # axis for qubit q in the C-ordered reshape is n-1-q
     psi = state.amplitudes.reshape([2] * n)
     psi = np.moveaxis(psi, n - 1 - keep, 0).reshape(2, -1)
-    return DensityMatrix2(psi @ psi.conj().T)
+    rho = psi @ psi.conj().T
+    if abs(np.trace(rho) - 1.0) > ATOL:
+        raise ValueError(f"state has trace {np.trace(rho).real!r}, not 1")
+    return rho
 
 
 def _bits_to_key(bits: Sequence[int], num_clbits: int) -> str:

@@ -1,6 +1,7 @@
 """Network-level tests: feed-forward wiring, hybrid and coherent executors,
 their equivalence, and the line-recognition fixture."""
 
+import math
 from itertools import product
 
 import numpy as np
@@ -9,22 +10,19 @@ import pytest
 from qffnn.network import (
     LayerSpec,
     NetworkSpec,
-    RunResult,
     UnsupportedTopology,
     build_hybrid_circuit,
-    classify,
     coherent_circuit,
     coherent_exact,
-    coherent_sampled,
-    coherent_state,
     feedforward_input,
     hidden_outcome_distribution,
     hybrid_exact,
     hybrid_sampled,
     line_recognition_network,
+    sampled_counts,
 )
 from qffnn.neuron import BinaryVector, NeuronSpec, activation_probability, simulated_activation_probability
-from qffnn.simulator import GateOp, exact_probabilities, reduced_density_matrix
+from qffnn.simulator import GateOp, exact_probabilities, reduced_density_matrix, simulate_state
 
 ATOL = 1e-12
 NET = line_recognition_network()
@@ -94,12 +92,20 @@ def test_modes_agree_for_every_label():
         assert abs(hy - co) < ATOL
 
 
+def ancilla_output_network() -> NetworkSpec:
+    """The line network with its output node read through an ancilla (qubit
+    7) instead of directly."""
+    out = LayerSpec((NeuronSpec(BinaryVector((1, -1)), (6,), 7),))
+    return NetworkSpec((NET.layers[0], out), NET.synapses)
+
+
 def test_modes_agree_for_random_weight_pairs():
     rng = np.random.default_rng(99)
-    for _ in range(10):
-        net = line_recognition_network(
-            label(int(rng.integers(16))), label(int(rng.integers(16)))
-        )
+    nets = [
+        line_recognition_network(label(int(rng.integers(16))), label(int(rng.integers(16))))
+        for _ in range(10)
+    ]
+    for net in nets + [ancilla_output_network()]:
         for n in range(16):
             assert abs(hybrid_exact(net, label(n)).p_out - coherent_exact(net, label(n)).p_out) < ATOL
 
@@ -171,23 +177,23 @@ def test_coherent_circuit_op_count_bound():
 
 def test_coherent_state_branch_weights_for_deterministic_input():
     # input 12 drives node 1 to certain activation and node 2 to certain rest
-    state = coherent_state(NET, label(12))
+    state = simulate_state(coherent_circuit(NET, label(12)))
     assert abs(exact_probabilities(state, [2])[1] - 1.0) < ATOL
     assert abs(exact_probabilities(state, [5])[1] - 0.0) < ATOL
 
 
 def test_output_density_matrix_for_label_8():
-    state = coherent_state(NET, label(8))
+    state = simulate_state(coherent_circuit(NET, label(8)))
     rho = reduced_density_matrix(state, 6)
-    assert abs(rho.entries[0, 0].real - 0.625) < ATOL
-    assert abs(rho.entries[1, 1].real - 0.375) < ATOL
-    assert abs(rho.entries[0, 1]) < ATOL
+    assert abs(rho[0, 0].real - 0.625) < ATOL
+    assert abs(rho[1, 1].real - 0.375) < ATOL
+    assert abs(rho[0, 1]) < ATOL
 
 
 def test_output_density_matrix_is_diagonal_for_every_input():
     for n in range(16):
-        rho = reduced_density_matrix(coherent_state(NET, label(n)), 6)
-        assert abs(rho.entries[0, 1]) < ATOL
+        rho = reduced_density_matrix(simulate_state(coherent_circuit(NET, label(n))), 6)
+        assert abs(rho[0, 1]) < ATOL
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +216,9 @@ def test_coherent_sampled_tracks_exact_values():
     shots = 10_000
     for n in (10, 0, 1):
         exact = coherent_exact(NET, label(n)).p_out
-        result = coherent_sampled(NET, label(n), shots, rng)
+        p = sampled_counts(NET, label(n), "coherent", shots, rng).marginal_probability(0)
         sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
-        assert abs(result.p_out - exact) <= 5 * sigma + 1e-9
+        assert abs(p - exact) <= 5 * sigma + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +366,19 @@ def test_input_length_mismatch_is_rejected():
 
 
 def test_classify_uses_strict_threshold():
-    make = lambda p: RunResult(0, p, "hybrid", None, p > 0.5)
-    assert classify(make(1.0)) is True
-    assert classify(make(0.375)) is False
-    assert classify(make(0.5)) is False
-    assert classify(make(0.4), threshold=0.3) is True
+    # the verdict is p_out > threshold: a threshold equal to p_out rejects,
+    # the next float below it accepts
+    for n in (12, 13, 0):
+        p_out = hybrid_exact(NET, label(n)).p_out
+        assert hybrid_exact(NET, label(n), threshold=p_out).classified_positive is False
+        assert hybrid_exact(NET, label(n), threshold=math.nextafter(p_out, -1.0)).classified_positive is True
+    assert hybrid_exact(NET, label(13), threshold=0.5).classified_positive is False
+    assert hybrid_exact(NET, label(13), threshold=0.3).classified_positive is True
 
 
 def test_run_result_consistency():
     result = hybrid_exact(NET, label(12), threshold=0.5)
-    assert result.classified_positive == classify(result)
+    assert result.classified_positive is (result.p_out > 0.5)
     assert result.input_label == 12
     assert result.shots is None and result.mode == "hybrid"
 

@@ -8,12 +8,20 @@ from qffnn.neuron import BinaryVector, neuron_circuit, simulated_activation_prob
 from qffnn.noise import (
     CalibrationMatrix,
     ReadoutErrorModel,
-    apply_readout_noise,
     build_calibration,
     mitigate,
     noisy_counts,
 )
 from qffnn.simulator import Counts, run_circuit
+
+
+def apply_readout_noise(
+    bits: tuple[int, ...], model: ReadoutErrorModel, rng: np.random.Generator
+) -> tuple[int, ...]:
+    """Per-shot reference for the readout channel: flip each bit of one shot's
+    outcome with its asymmetric error rate."""
+    flips = rng.random(len(bits))
+    return tuple(int(b ^ (u < (model.p01 if b == 0 else model.p10))) for b, u in zip(bits, flips))
 
 
 def test_model_validates_rates():

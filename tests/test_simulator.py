@@ -5,17 +5,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qffnn.simulator import (
     MAX_BRANCHES,
     Circuit,
+    Counts,
     GateOp,
     MeasureOp,
     StateVector,
     apply_gate,
     cz,
+    defer_measurements,
     exact_probabilities,
     h,
     mcx,
@@ -212,6 +214,18 @@ def test_run_circuit_empty_circuit():
     assert counts.counts == {"": 100}
 
 
+def test_marginal_probability_rejects_out_of_range_bits():
+    counts = Counts({"01": 3, "11": 1}, 4)
+    assert (counts.marginal_probability(0), counts.marginal_probability(1, value=0)) == (1.0, 0.75)
+    for clbit in (2, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            counts.marginal_probability(clbit)
+    # a circuit without measurements gives zero-width keys: no bit to read
+    no_bits = run_circuit(Circuit(1, 0), 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="out of range"):
+        no_bits.marginal_probability(0)
+
+
 def test_run_circuit_rejects_condition_before_measurement():
     circuit = Circuit(1, 1)
     circuit.append(z(0).conditioned_on(0, 1))
@@ -388,6 +402,82 @@ def test_deferred_measurement_identity(seed):
         assert abs(dist_a.get(key, 0.0) - dist_b.get(key, 0.0)) < ATOL
 
 
+@st.composite
+def deferrable_circuits(draw) -> Circuit:
+    """Random circuits with mid-circuit measurements and gates conditioned on
+    either bit value; no gate acts on a qubit once it is measured, and H is
+    never conditioned, so ``defer_measurements`` accepts every one."""
+    num_qubits, num_clbits = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    circuit = Circuit(num_qubits, num_clbits)
+    live = list(range(num_qubits))
+    written: list[int] = []
+    for _ in range(draw(st.integers(1, 16))):
+        if draw(st.integers(0, 4)) == 0:
+            qubit = draw(st.sampled_from(range(num_qubits)))
+            clbit = draw(st.sampled_from(range(num_clbits)))
+            circuit.measure(qubit, clbit)
+            written.append(clbit)
+            if qubit in live:
+                live.remove(qubit)
+            continue
+        if not live:
+            break
+        kinds = ["H", "X", "Z"] + (["CZ", "MCX"] if len(live) >= 2 else [])
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.permutations(live))
+        if kind == "CZ":
+            gate = cz(qubits[0], qubits[1])
+        elif kind == "MCX":
+            gate = mcx(qubits[1 : 1 + draw(st.integers(1, len(live) - 1))], qubits[0])
+        else:
+            gate = GateOp(kind, (qubits[0],))
+        if kind != "H" and written and draw(st.booleans()):
+            gate = gate.conditioned_on(draw(st.sampled_from(written)), draw(st.integers(0, 1)))
+        circuit.append(gate)
+    for clbit in range(num_clbits):
+        circuit.measure(draw(st.sampled_from(range(num_qubits))), clbit)
+    return circuit
+
+
+def _bit_controlled_x(value: int) -> Circuit:
+    circuit = Circuit(2, 2).append(h(0)).measure(0, 0)
+    return circuit.append(x(1).conditioned_on(0, value)).measure(1, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuit=deferrable_circuits())
+@example(circuit=_bit_controlled_x(0))
+@example(circuit=_bit_controlled_x(1))
+def test_deferring_measurements_keeps_the_outcome_law(circuit):
+    deferred = defer_measurements(circuit)
+    measures = [op for op in circuit.ops if isinstance(op, MeasureOp)]
+    assert (deferred.num_qubits, deferred.num_clbits) == (circuit.num_qubits, circuit.num_clbits)
+    assert deferred.ops[len(deferred.ops) - len(measures) :] == measures
+    assert all(op.classical_condition is None for op in deferred.gate_ops())
+    law, deferred_law = run_circuit_exact(circuit), run_circuit_exact(deferred)
+    for key in set(law) | set(deferred_law):
+        assert abs(law.get(key, 0.0) - deferred_law.get(key, 0.0)) < ATOL
+
+
+def test_defer_measurements_controls_on_the_measured_qubit():
+    circuit = Circuit(3, 1).append(h(0)).measure(0, 0)
+    circuit.append(z(1).conditioned_on(0, 1), cz(1, 2).conditioned_on(0, 0), x(2).conditioned_on(0, 1))
+    deferred = defer_measurements(circuit)
+    assert deferred.ops == [h(0), cz(0, 1), x(0), mcz(0, 1, 2), x(0), mcx((0,), 2), MeasureOp(0, 0)]
+
+
+def test_defer_measurements_rejects_conditioned_hadamard():
+    circuit = Circuit(2, 1).append(h(0)).measure(0, 0).append(h(1).conditioned_on(0, 1))
+    with pytest.raises(ValueError, match="conditioned H"):
+        defer_measurements(circuit)
+
+
+def test_defer_measurements_rejects_gates_on_measured_qubits():
+    circuit = Circuit(2, 1).append(h(0)).measure(0, 0).append(cz(0, 1))
+    with pytest.raises(ValueError, match="qubit 0 after it is measured"):
+        defer_measurements(circuit)
+
+
 # ---------------------------------------------------------------------------
 # reduced density matrix
 
@@ -396,14 +486,14 @@ def test_reduced_density_matrix_of_product_state():
     state = StateVector.zero(3)
     state = apply_gate(apply_gate(state, h(0)), h(1))
     rho = reduced_density_matrix(state, 2)
-    assert np.allclose(rho.entries, [[1.0, 0.0], [0.0, 0.0]], atol=ATOL)
+    assert np.allclose(rho, [[1.0, 0.0], [0.0, 0.0]], atol=ATOL)
 
 
 def test_reduced_density_matrix_of_bell_pair_is_maximally_mixed():
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = np.sqrt(0.5)
     rho = reduced_density_matrix(StateVector(2, amps), 0)
-    assert np.allclose(rho.entries, np.eye(2) / 2, atol=ATOL)
+    assert np.allclose(rho, np.eye(2) / 2, atol=ATOL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -414,5 +504,12 @@ def test_reduced_density_matrix_diagonal_matches_marginals(seed, num_qubits):
     keep = int(rng.integers(num_qubits))
     rho = reduced_density_matrix(state, keep)
     table = exact_probabilities(state, [keep])
-    assert abs(rho.entries[0, 0].real - table[0]) < ATOL
-    assert abs(rho.entries[1, 1].real - table[1]) < ATOL
+    assert abs(rho[0, 0].real - table[0]) < ATOL
+    assert abs(rho[1, 1].real - table[1]) < ATOL
+
+
+def test_reduced_density_matrix_rejects_unnormalized_states():
+    amps = np.zeros(4, dtype=complex)
+    amps[0] = 0.5
+    with pytest.raises(ValueError, match="trace"):
+        reduced_density_matrix(StateVector(2, amps), 0)
