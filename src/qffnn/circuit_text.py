@@ -18,7 +18,7 @@ parsed back yields an equivalent circuit.
 
 from __future__ import annotations
 
-from .simulator import Circuit, GateOp, MeasureOp
+from .simulator import GATE_KINDS, Circuit, GateOp, MeasureOp
 
 
 def format_op(op: GateOp | MeasureOp) -> str:
@@ -37,46 +37,58 @@ def format_circuit(circuit: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _number(token: str, what: str) -> int:
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"{what} {token!r} is not a non-negative integer")
+    return int(token)
+
+
 def _parse_condition(tokens: list[str]) -> tuple[list[str], tuple[int, int] | None]:
     if len(tokens) >= 2 and tokens[-2] == "if":
         clause = tokens[-1]
-        if not clause.startswith("c") or "=" not in clause:
+        clbit, sep, value = clause[1:].partition("=")
+        if not clause.startswith("c") or not sep:
             raise ValueError(f"malformed condition {clause!r}")
-        clbit, value = clause[1:].split("=")
-        return tokens[:-2], (int(clbit), int(value))
+        return tokens[:-2], (_number(clbit, "classical bit"), _number(value, "condition value"))
     return tokens, None
 
 
+def _parse_op(tokens: list[str]) -> GateOp | MeasureOp:
+    head = tokens[0]
+    if head == "MEASURE":
+        if len(tokens) != 4 or tokens[2] != "->" or not tokens[3].startswith("c"):
+            raise ValueError("malformed measure line")
+        return MeasureOp(_number(tokens[1], "qubit"), _number(tokens[3][1:], "classical bit"))
+    if head not in GATE_KINDS:
+        raise ValueError(f"unknown op {head!r}")
+    tokens, condition = _parse_condition(tokens)
+    qubits = tuple(_number(t, "qubit") for t in tokens[1:])
+    if head == "MCX":
+        return GateOp(head, qubits[:1], qubits[1:], condition)
+    return GateOp(head, qubits, (), condition)
+
+
 def parse_circuit(text: str) -> Circuit:
-    num_qubits: int | None = None
-    num_clbits = 0
+    """Circuit from a listing; a malformed line raises ``ValueError`` naming
+    its line number and text."""
+    header: dict[str, int | None] = {"qubits": None, "clbits": 0}
     ops: list[GateOp | MeasureOp] = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        head = tokens[0]
-        if head == "qubits":
-            num_qubits = int(tokens[1])
-        elif head == "clbits":
-            num_clbits = int(tokens[1])
-        elif head == "MEASURE":
-            if len(tokens) != 4 or tokens[2] != "->" or not tokens[3].startswith("c"):
-                raise ValueError(f"malformed measure line {line!r}")
-            ops.append(MeasureOp(int(tokens[1]), int(tokens[3][1:])))
-        elif head in ("H", "X", "Z", "CZ", "MCZ", "MCX"):
-            tokens, condition = _parse_condition(tokens)
-            qubits = [int(t) for t in tokens[1:]]
-            if head == "MCX":
-                op = GateOp(head, (qubits[0],), tuple(qubits[1:]), condition)
+        try:
+            if tokens[0] in header:
+                if len(tokens) != 2:
+                    raise ValueError(f"{tokens[0]} takes one count")
+                header[tokens[0]] = _number(tokens[1], f"{tokens[0]} count")
             else:
-                op = GateOp(head, tuple(qubits), (), condition)
-            ops.append(op)
-        else:
-            raise ValueError(f"unknown line {line!r}")
-    if num_qubits is None:
+                ops.append(_parse_op(tokens))
+        except ValueError as exc:
+            raise ValueError(f"line {number}: {exc}: {line!r}") from None
+    if header["qubits"] is None:
         raise ValueError("missing 'qubits' header")
-    circuit = Circuit(num_qubits, num_clbits, ops)
+    circuit = Circuit(header["qubits"], header["clbits"], ops)
     circuit.validate()
     return circuit

@@ -58,6 +58,24 @@ from .simulator import (
 DEFAULT_THRESHOLD = 0.5
 
 
+_JSON_TYPES = {list: "a list", int: "an integer"}
+
+
+def _field(doc: object, key: str, kind: type, where: str, of_ints: bool = False):
+    """``doc[key]`` checked to be a ``kind`` (a list of integers if
+    ``of_ints``); ``where`` names ``doc`` in the ``ValueError`` raised
+    otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in doc:
+        raise ValueError(f"{where} has no field {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (of_ints and not all(isinstance(v, int) for v in value)):
+        of = " of integers" if of_ints else ""
+        raise ValueError(f"field {key!r} of {where} must be {_JSON_TYPES[kind]}{of}")
+    return value
+
+
 class UnsupportedTopology(ValueError):
     """Raised when an executor does not cover the requested network shape."""
 
@@ -142,22 +160,32 @@ class NetworkSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "NetworkSpec":
+        """Inverse of ``to_json_dict``; a missing or ill-typed field raises
+        ``ValueError`` naming it.  A neuron gives its weight as
+        ``weight_entries`` or as ``weight_label`` over 2**len(qubits) entries."""
         layers = []
-        for layer_doc in doc["layers"]:
+        for i, layer_doc in enumerate(_field(doc, "layers", list, "network")):
             neurons = []
-            for nd in layer_doc["neurons"]:
-                qubits = tuple(nd["qubits"])
+            for j, nd in enumerate(_field(layer_doc, "neurons", list, f"layer {i}")):
+                where = f"neuron {j} of layer {i}"
+                qubits = tuple(_field(nd, "qubits", list, where, of_ints=True))
                 if "weight_entries" in nd:
-                    weight = BinaryVector(tuple(nd["weight_entries"]))
+                    weight = BinaryVector(tuple(_field(nd, "weight_entries", list, where, of_ints=True)))
                 else:
-                    weight = BinaryVector.from_label(nd["weight_label"], 1 << len(qubits))
-                neurons.append(NeuronSpec(weight, qubits, nd.get("ancilla")))
+                    weight = BinaryVector.from_label(_field(nd, "weight_label", int, where), 1 << len(qubits))
+                ancilla = nd.get("ancilla")
+                if ancilla is not None:
+                    _field(nd, "ancilla", int, where)
+                neurons.append(NeuronSpec(weight, qubits, ancilla))
             layers.append(LayerSpec(tuple(neurons)))
-        synapses = tuple(
-            tuple(tuple(layer_map[str(j)]) for j in range(len(layer_map)))
-            for layer_map in doc.get("synapses", [])
-        )
-        return cls(tuple(layers), synapses)
+        synapses = []
+        for i, layer_map in enumerate(_field(doc, "synapses", list, "network") if "synapses" in doc else []):
+            where = f"synapse map {i}"
+            if not isinstance(layer_map, dict):
+                raise ValueError(f"{where} must be a JSON object")
+            feeders = (_field(layer_map, str(j), list, where, of_ints=True) for j in range(len(layer_map)))
+            synapses.append(tuple(tuple(f) for f in feeders))
+        return cls(tuple(layers), tuple(synapses))
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2)

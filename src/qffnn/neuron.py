@@ -4,8 +4,12 @@ A node processes a classical input vector i and weight vector w, both with
 entries in {-1, +1} and length m = 2**N.  The input is stored on N qubits as
 a real equally-weighted (REW) state whose amplitude at basis index j is
 i[j]/sqrt(m).  Every REW state is a hypergraph state: it is reachable from
-the uniform superposition by Z, CZ and multi-controlled-Z sign flips alone,
-which is what the synthesis routine below emits (at most m-1 gates).
+the uniform superposition by Z, CZ and multi-controlled-Z sign flips alone.
+A Z-type gate on the qubit set S flips the sign of every basis index that
+contains S, so the gates a vector needs are the algebraic normal form of its
+sign pattern j -> [i_j != i_0]; the synthesis routine below computes it with
+N butterfly stages of a subset-XOR (Moebius) transform on the label bitmask
+and emits at most m-1 gates.
 
 The weight stage reuses the same sign-flip synthesis followed by Hadamard and
 X on every encoding qubit; it maps the weight's own REW state onto |1...1>,
@@ -49,13 +53,16 @@ class BinaryVector:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(int(e) for e in self.entries)
+        entries = self.entries
+        # a tuple of plain ints is kept as given: at m = 4096 a copy is 32 KB
+        if type(entries) is not tuple or any(type(e) is not int for e in entries):
+            entries = tuple(int(e) for e in entries)
+            object.__setattr__(self, "entries", entries)
         if any(e not in (-1, 1) for e in entries):
             raise ValueError("entries must be -1 or +1")
         m = len(entries)
         if m < 2 or m & (m - 1):
             raise ValueError("length must be a power of two >= 2")
-        object.__setattr__(self, "entries", entries)
 
     @classmethod
     def from_label(cls, label: int, m: int) -> "BinaryVector":
@@ -126,33 +133,38 @@ def hypergraph_sign_synthesis(vec: BinaryVector) -> tuple[list[GateOp], int]:
     first entry is -1 the vector is negated up front and the -1 is reported as
     the (unobservable) global sign instead of being synthesized.
 
-    Basis indices 1..m-1 are scanned in order of increasing Hamming weight
-    (ties by index); whenever the tracked sign at index j disagrees with the
-    target, a Z-type gate on exactly the qubits set in j is emitted, flipping
-    every index whose bit pattern contains j.  Lower-weight indices are never
-    revisited, so at most m-1 gates come out.
+    Bit j of the (possibly complemented) label f says whether entry j must be
+    flipped.  The gate on the qubits set in j flips every index containing j,
+    so f[j] is the XOR of the gate bits g[s] over all subsets s of j, and g is
+    recovered by the subset-XOR (Moebius) transform of f: for each qubit k,
+    every index with bit k set is XORed with its partner without bit k.  On
+    the bitmask that is one shift, AND and XOR per qubit.  Index 0 is a subset
+    only of itself, so g[0] = f[0] = 0 and at most m-1 gates come out.  They
+    are emitted in order of increasing Hamming weight, ties by index.
     """
-    target = list(vec.entries)
+    m, n = vec.m, vec.num_qubits
+    full = (1 << m) - 1
+    f = vec.label()
     global_sign = 1
-    if target[0] == -1:
+    if vec.entries[0] == -1:
         global_sign = -1
-        target = [-t for t in target]
-    m = len(target)
-    current = [1] * m
+        f ^= full
+    for k in range(n):
+        step = 1 << k
+        # bit j of low is set iff bit k of j is 0: runs of step ones, step zeros
+        low = ((1 << step) - 1) * (full // ((1 << 2 * step) - 1))
+        f ^= (f & low) << step
     gates: list[GateOp] = []
-    for j in sorted(range(1, m), key=lambda idx: (bin(idx).count("1"), idx)):
-        if current[j] == target[j]:
-            continue
-        qubits = tuple(k for k in range(vec.num_qubits) if (j >> k) & 1)
+    flips = [j for j, bit in enumerate(bin(f)[:1:-1]) if bit == "1"]
+    # flips is in index order and the sort is stable: (Hamming weight, index)
+    for j in sorted(flips, key=int.bit_count):
+        qubits = tuple(k for k in range(n) if (j >> k) & 1)
         if len(qubits) == 1:
             gates.append(z(qubits[0]))
         elif len(qubits) == 2:
             gates.append(cz(*qubits))
         else:
             gates.append(mcz(*qubits))
-        for idx in range(m):
-            if idx & j == j:
-                current[idx] = -current[idx]
     return gates, global_sign
 
 

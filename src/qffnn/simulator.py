@@ -385,12 +385,13 @@ def measure_qubit(
     """Sample one computational-basis measurement and collapse the state."""
     if not 0 <= qubit < state.num_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    basis = np.arange(state.amplitudes.size)
-    mask1 = (basis >> qubit) & 1 == 1
-    p1 = float(np.sum(np.abs(state.amplitudes[mask1]) ** 2))
-    outcome = 1 if rng.random() < p1 else 0
     amps = state.amplitudes.copy()
-    amps[mask1 != bool(outcome)] = 0.0
+    # axis 1 of the view is the value of the measured qubit
+    view = amps.reshape(-1, 2, 1 << qubit)
+    ones = view[:, 1]
+    p1 = float(np.vdot(ones, ones).real)
+    outcome = 1 if rng.random() < p1 else 0
+    view[:, 1 - outcome] = 0.0
     p_sel = p1 if outcome else 1.0 - p1
     amps /= np.sqrt(max(p_sel, 1e-300))
     return outcome, StateVector(state.num_qubits, amps)

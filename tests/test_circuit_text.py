@@ -59,6 +59,24 @@ def test_parse_rejects_garbage():
         parse_circuit("qubits 2\nclbits 1\nMEASURE 0 c0\n")
 
 
+@pytest.mark.parametrize(
+    "text, number, line",
+    [
+        ("qubits\n", 1, "qubits"),
+        ("qubits x\n", 1, "qubits x"),
+        ("qubits 2\nclbits 1\nMCX\n", 3, "MCX"),
+        ("qubits 2\nclbits 1\nMEASURE 1 -> cx\n", 3, "MEASURE 1 -> cx"),
+        ("qubits 2\nclbits 1\nMEASURE 0 -> c0\n\nH 0 if c0=1=2\n", 5, "H 0 if c0=1=2"),
+    ],
+)
+def test_parse_names_the_malformed_line(text, number, line):
+    with pytest.raises(ValueError) as excinfo:
+        parse_circuit(text)
+    message = str(excinfo.value)
+    assert message.startswith(f"line {number}: ") and message.endswith(repr(line))
+    assert "invalid literal" not in message and "unpack" not in message
+
+
 def test_parse_condition_round_trip():
     circuit = Circuit(2, 1)
     circuit.measure(0, 0)

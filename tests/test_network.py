@@ -395,3 +395,14 @@ def test_network_spec_json_accepts_entry_lists():
     doc = NET.to_json_dict()
     doc["layers"][1]["neurons"][0] = {"weight_entries": [1, -1], "qubits": [6], "ancilla": None}
     assert NetworkSpec.from_json_dict(doc) == NET
+
+
+def test_network_spec_json_names_missing_and_ill_typed_fields():
+    with pytest.raises(ValueError, match="network has no field 'layers'"):
+        NetworkSpec.from_json_dict({})
+    with pytest.raises(ValueError, match="field 'layers' of network must be a list"):
+        NetworkSpec.from_json_dict({"layers": 5})
+    doc = NET.to_json_dict()
+    del doc["layers"][0]["neurons"][1]["weight_label"]
+    with pytest.raises(ValueError, match="neuron 1 of layer 0 has no field 'weight_label'"):
+        NetworkSpec.from_json_dict(doc)

@@ -21,10 +21,13 @@ from qffnn.neuron import (
 from qffnn.simulator import (
     Circuit,
     StateVector,
+    cz,
     exact_probabilities,
+    mcz,
     run_circuit,
     simulate_state,
     states_equal_up_to_phase,
+    z,
 )
 
 ATOL = 1e-12
@@ -60,6 +63,16 @@ def test_label_to_vector_uses_bit_k_for_entry_k():
 @given(st.integers(0, 255))
 def test_label_roundtrip(label):
     assert BinaryVector.from_label(label, 8).label() == label
+
+
+def test_vector_keeps_a_tuple_of_ints_and_converts_the_rest():
+    entries = tuple([1, -1, -1, 1])
+    assert BinaryVector(entries).entries is entries
+    converted = BinaryVector((True, -1)).entries
+    assert converted == (1, -1) and all(type(e) is int for e in converted)
+    converted = BinaryVector(tuple(np.array([-1, 1]))).entries
+    assert converted == (-1, 1) and all(type(e) is int for e in converted)
+    assert BinaryVector([1, -1]).entries == (1, -1)
 
 
 def test_vector_validation():
@@ -115,6 +128,50 @@ def test_synthesis_negated_leading_entry():
     gates, sign = hypergraph_sign_synthesis(BinaryVector((-1, 1, 1, 1)))
     assert sign == -1
     assert [(g.kind, g.targets) for g in gates] == [("Z", (0,)), ("Z", (1,)), ("CZ", (0, 1))]
+
+
+def greedy_sign_synthesis(vec: BinaryVector) -> tuple[list, int]:
+    """Reference HSGS: scan indices by increasing Hamming weight and flip
+    every index containing j whenever the tracked sign at j is wrong."""
+    target = list(vec.entries)
+    global_sign = 1
+    if target[0] == -1:
+        global_sign = -1
+        target = [-t for t in target]
+    m = len(target)
+    current = [1] * m
+    gates = []
+    for j in sorted(range(1, m), key=lambda idx: (bin(idx).count("1"), idx)):
+        if current[j] == target[j]:
+            continue
+        qubits = tuple(k for k in range(vec.num_qubits) if (j >> k) & 1)
+        if len(qubits) == 1:
+            gates.append(z(qubits[0]))
+        elif len(qubits) == 2:
+            gates.append(cz(*qubits))
+        else:
+            gates.append(mcz(*qubits))
+        for idx in range(m):
+            if idx & j == j:
+                current[idx] = -current[idx]
+    return gates, global_sign
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_synthesis_matches_greedy_reference_on_every_vector(m):
+    for label in range(1 << m):
+        vec = BinaryVector.from_label(label, m)
+        assert hypergraph_sign_synthesis(vec) == greedy_sign_synthesis(vec)
+
+
+@pytest.mark.parametrize("m", [16, 32, 64, 128, 256, 512, 1024, 4096])
+def test_synthesis_matches_greedy_reference_on_random_vectors(m):
+    rng = np.random.default_rng(m)
+    for _ in range(1 if m == 4096 else 3):
+        vec = BinaryVector(tuple(int(v) for v in rng.choice((-1, 1), size=m)))
+        gates, sign = hypergraph_sign_synthesis(vec)
+        assert (gates, sign) == greedy_sign_synthesis(vec)
+        assert len(gates) <= m - 1
 
 
 @pytest.mark.parametrize("num_qubits", [2, 3])
