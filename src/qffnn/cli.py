@@ -79,7 +79,6 @@ def _cmd_network(args: argparse.Namespace) -> int:
         mitigate=args.mitigate,
         weights=parse_weights_option(args.weights),
         threshold=args.threshold,
-        output_path=args.out,
         format=args.format,
     )
     doc, exit_code = run_network_experiment(config)

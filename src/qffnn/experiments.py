@@ -116,7 +116,6 @@ class ExperimentConfig:
         default_factory=lambda: parse_weights_option(None)
     )
     threshold: float = 0.5
-    output_path: str | None = None
     format: str = "json"
 
     def __post_init__(self) -> None:

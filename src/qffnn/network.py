@@ -10,7 +10,8 @@ simulating every node once per distinct fed-forward input.  Each layer costs
 up to 2**(width of the layer before) times 2**(its own width), and the costs
 add across layers instead of multiplying.  The exact output, the hidden-layer
 law and deep shot sampling all read this pass; two-layer networks of the
-combined-circuit class also run as one circuit with mid-circuit measurement.
+combined-circuit class that fit in ``MAX_QUBITS`` qubits also run as one
+circuit with mid-circuit measurement.
 
 Coherent mode: the same network as one circuit without mid-circuit
 measurement.  It is derived from the combined hybrid circuit by the
@@ -44,6 +45,7 @@ from .neuron import (
     weight_transform_ops,
 )
 from .simulator import (
+    MAX_QUBITS,
     Circuit,
     Counts,
     MeasureOp,
@@ -130,10 +132,6 @@ class NetworkSpec:
                     raise ValueError("synapse references a missing neuron")
 
     @property
-    def hidden_layers(self) -> tuple[LayerSpec, ...]:
-        return self.layers[:-1]
-
-    @property
     def output_neuron(self) -> NeuronSpec:
         if len(self.layers[-1].neurons) != 1:
             raise UnsupportedTopology("executors require a single output neuron")
@@ -162,13 +160,16 @@ class NetworkSpec:
     def from_json_dict(cls, doc: dict) -> "NetworkSpec":
         """Inverse of ``to_json_dict``; a missing or ill-typed field raises
         ``ValueError`` naming it.  A neuron gives its weight as
-        ``weight_entries`` or as ``weight_label`` over 2**len(qubits) entries."""
+        ``weight_entries`` or as ``weight_label`` over 2**len(qubits) entries;
+        more than ``MAX_QUBITS`` qubits raise before that weight is built."""
         layers = []
         for i, layer_doc in enumerate(_field(doc, "layers", list, "network")):
             neurons = []
             for j, nd in enumerate(_field(layer_doc, "neurons", list, f"layer {i}")):
                 where = f"neuron {j} of layer {i}"
                 qubits = tuple(_field(nd, "qubits", list, where, of_ints=True))
+                if len(qubits) > MAX_QUBITS:
+                    raise ValueError(f"{where} lists {len(qubits)} qubits, more than MAX_QUBITS={MAX_QUBITS}")
                 if "weight_entries" in nd:
                     weight = BinaryVector(tuple(_field(nd, "weight_entries", list, where, of_ints=True)))
                 else:
@@ -317,7 +318,8 @@ def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
     node prepared, activated and measured mid-circuit, then the output qubit
     prepared with a Hadamard plus one conditioned Z per hidden bit,
     weight-transformed, and measured.  Classical bit 0 is the output, bit k
-    the k-th hidden node."""
+    the k-th hidden node.  Raises ``UnsupportedTopology`` for other shapes
+    and for circuits wider than ``MAX_QUBITS``."""
     if len(net.layers) != 2:
         raise UnsupportedTopology("combined circuit construction covers two-layer networks")
     out = net.output_neuron
@@ -332,6 +334,10 @@ def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
     qubits = [q for spec in hidden for q in spec.all_qubits] + list(out.all_qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubit assignments overlap across layers")
+    if max(qubits) + 1 > MAX_QUBITS:
+        raise UnsupportedTopology(
+            f"combined circuit needs {max(qubits) + 1} qubits, more than MAX_QUBITS={MAX_QUBITS}"
+        )
     _first_layer_inputs(net, input_vec)
     fed = [hidden[f] for f in feeders]
     out_qubit = out.encoding_qubits[0]
@@ -393,8 +399,9 @@ def hybrid_sampled(
 ) -> RunResult:
     """Shot-sampled hybrid run.  Two-layer networks run as the single combined
     circuit with mid-circuit measurement and classical control.  For other
-    topologies the shots are i.i.d. draws of the output bit, so their count is
-    one binomial draw from the exact output law of the forward pass."""
+    topologies, and for circuits wider than ``MAX_QUBITS``, the shots are
+    i.i.d. draws of the output bit, so their count is one binomial draw from
+    the exact output law of the forward pass."""
     try:
         circuit = build_hybrid_circuit(net, input_vec)
     except UnsupportedTopology:

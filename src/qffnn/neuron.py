@@ -30,20 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-import numpy as np
-
-from .simulator import (
-    Circuit,
-    GateOp,
-    StateVector,
-    cz,
-    h,
-    mcx,
-    mcz,
-    simulate_state,
-    x,
-    z,
-)
+from .simulator import Circuit, GateOp, cz, h, mcx, mcz, simulate_state, x, z
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,19 +106,14 @@ class NeuronSpec:
         return self.encoding_qubits + (self.ancilla_qubit,)
 
 
-def rew_state(vec: BinaryVector) -> StateVector:
-    """REW state of ``vec``: amplitude vec[j]/sqrt(m) at basis index j."""
-    amps = np.asarray(vec.entries, dtype=complex) / np.sqrt(vec.m)
-    return StateVector(vec.num_qubits, amps)
-
-
 def hypergraph_sign_synthesis(vec: BinaryVector) -> tuple[list[GateOp], int]:
     """Sign-flip gate cascade (HSGS) preparing ``vec`` from the uniform state.
 
     Returns (gates, global_sign) with gates over local qubits 0..N-1 such that
-    applying them to |+>^N gives global_sign * rew_state(vec) exactly.  If the
-    first entry is -1 the vector is negated up front and the -1 is reported as
-    the (unobservable) global sign instead of being synthesized.
+    applying them to |+>^N gives global_sign times the REW state of ``vec``
+    exactly.  If the first entry is -1 the vector is negated up front and the
+    -1 is reported as the (unobservable) global sign instead of being
+    synthesized.
 
     Bit j of the (possibly complemented) label f says whether entry j must be
     flipped.  The gate on the qubits set in j flips every index containing j,
@@ -251,5 +233,5 @@ def simulated_activation_probability(input_vec: BinaryVector, weight_vec: Binary
     circuit = Circuit(n)
     circuit.extend(input_preparation_ops(input_vec))
     circuit.extend(weight_transform_ops(weight_vec))
-    state = simulate_state(circuit)
-    return float(abs(state.amplitudes[input_vec.m - 1]) ** 2)
+    amps = simulate_state(circuit)
+    return float(abs(amps[input_vec.m - 1]) ** 2)

@@ -96,8 +96,10 @@ def mitigate(counts: Counts, cal: CalibrationMatrix) -> np.ndarray:
     if num_bits and num_bits != cal.num_bits:
         raise ValueError("counts bit width does not match calibration matrix")
     freq = counts.probability_vector(cal.num_bits)
-    if abs(np.linalg.det(cal.matrix)) < 1e-300:
-        raise ValueError("calibration matrix is singular")
+    # the determinant of a well-conditioned 2**b matrix can underflow to 0
+    cond = np.linalg.cond(cal.matrix)
+    if not cond < 1.0 / np.finfo(float).eps:
+        raise ValueError(f"calibration matrix is singular to working precision (condition number {cond:.3g})")
     solved = np.linalg.solve(cal.matrix, freq)
     clipped = np.clip(solved, 0.0, None)
     total = clipped.sum()

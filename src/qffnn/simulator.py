@@ -15,23 +15,26 @@ Conventions used throughout the package:
 Supported gates: H, X, Z, CZ, MCZ (phase flip where every participating qubit
 is 1) and MCX (NOT on the target where every control is 1).
 
+One gate kernel, ``_apply_gate_kernel``, serves two engines, and both check
+the circuit (``Circuit.validate``, which caps the register at ``MAX_QUBITS``)
+before they allocate a state.  ``simulate_state`` returns the amplitude array
+of a unitary circuit.  ``run_circuit_exact`` handles circuits with
+measurements: it enumerates every measurement outcome as a branch with its
+probability, at most ``MAX_BRANCHES`` branches at a time.  ``run_circuit``
+samples shots as a single multinomial draw from that exact law; shots are
+independent and identically distributed, so the counts follow the same
+distribution as running each shot on its own.
+
 ``defer_measurements`` rewrites a circuit with mid-circuit measurement and
 classical control into one whose measurements all come last, turning each
 classically conditioned gate into a quantum-controlled one; the outcome law
 is unchanged.
-
-``run_circuit_exact`` is the one engine for circuits with measurements: it
-enumerates every measurement outcome as a branch with its probability, at
-most ``MAX_BRANCHES`` branches at a time.  ``run_circuit`` samples shots as a
-single multinomial draw from that exact law; shots are independent and
-identically distributed, so the counts follow the same distribution as
-running each shot on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -155,12 +158,12 @@ class Circuit:
         self.ops.append(MeasureOp(qubit, clbit))
         return self
 
-    def gate_ops(self) -> Iterator[GateOp]:
-        return (op for op in self.ops if isinstance(op, GateOp))
-
     def validate(self) -> None:
-        """Check index bounds and that every classical condition reads a bit
-        written by an earlier measurement."""
+        """Check the register size against ``MAX_QUBITS``, index bounds, and
+        that every classical condition reads a bit written by an earlier
+        measurement.  Both engines call this before they allocate a state."""
+        if not 1 <= self.num_qubits <= MAX_QUBITS:
+            raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}")
         written: set[int] = set()
         for op in self.ops:
             if isinstance(op, MeasureOp):
@@ -222,28 +225,6 @@ def defer_measurements(circuit: Circuit) -> Circuit:
 
 
 @dataclass
-class StateVector:
-    """Pure state of ``num_qubits`` qubits; ``amplitudes`` has length 2**n."""
-
-    num_qubits: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def zero(cls, num_qubits: int) -> "StateVector":
-        if not 1 <= num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}")
-        amps = np.zeros(1 << num_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(num_qubits, amps)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_qubits, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-@dataclass
 class Counts:
     """Aggregated shot outcomes: bitstring (MSB first) -> occurrence count."""
 
@@ -261,9 +242,6 @@ class Counts:
 
     def num_clbits(self) -> int:
         return len(next(iter(self.counts))) if self.counts else 0
-
-    def frequency(self, key: str) -> float:
-        return self.counts.get(key, 0) / self.total_shots
 
     def probability_vector(self, num_bits: int) -> np.ndarray:
         """Empirical distribution over all 2**num_bits outcomes, indexed by the
@@ -322,89 +300,32 @@ def _apply_gate_kernel(amps: np.ndarray, gate: GateOp, num_qubits: int) -> None:
         amps[:, cols] *= -1.0
 
 
-def _check_bounds(gate: GateOp, num_qubits: int) -> None:
-    for q in gate.participants:
-        if not 0 <= q < num_qubits:
-            raise ValueError(f"qubit {q} out of range for {num_qubits}-qubit register")
-
-
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Return the state after ``gate``; norm is preserved to float precision.
-
-    Conditioned gates are rejected here: classical conditions only make sense
-    inside ``run_circuit``, which owns the classical register.
-    """
-    if gate.classical_condition is not None:
-        raise ValueError("conditioned gates are resolved by run_circuit")
-    _check_bounds(gate, state.num_qubits)
-    amps = state.amplitudes.copy()
-    _apply_gate_kernel(amps.reshape(1, -1), gate, state.num_qubits)
-    return StateVector(state.num_qubits, amps)
-
-
-def simulate_state(circuit: Circuit) -> StateVector:
-    """Final state of a purely unitary circuit (no measurements, no conditions)."""
+def simulate_state(circuit: Circuit) -> np.ndarray:
+    """Amplitudes (length 2**n) of the final state of a purely unitary circuit
+    (no measurements, no conditions) started in |0...0>."""
     circuit.validate()
-    state = StateVector.zero(circuit.num_qubits)
-    amps = state.amplitudes.reshape(1, -1)
+    amps = np.zeros(1 << circuit.num_qubits, dtype=complex)
+    amps[0] = 1.0
+    rows = amps.reshape(1, -1)
     for op in circuit.ops:
         if isinstance(op, MeasureOp) or op.classical_condition is not None:
             raise ValueError("simulate_state only supports unitary circuits")
-        _apply_gate_kernel(amps, op, circuit.num_qubits)
-    return state
+        _apply_gate_kernel(rows, op, circuit.num_qubits)
+    return amps
 
 
 # ---------------------------------------------------------------------------
 # measurement and sampling
 
-def exact_probabilities(state: StateVector, qubits: Sequence[int]) -> np.ndarray:
-    """Marginal Born probabilities of the listed qubits.
-
-    The result has length 2**len(qubits); outcome index bit k is the value of
-    ``qubits[k]``, so the first listed qubit is the least significant bit.
-    """
-    qubits = list(qubits)
-    if not qubits:
-        raise ValueError("need at least one qubit")
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("duplicate qubit")
-    for q in qubits:
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range")
-    probs = np.abs(state.amplitudes) ** 2
-    basis = np.arange(probs.size)
-    packed = np.zeros(probs.size, dtype=np.int64)
-    for k, q in enumerate(qubits):
-        packed |= ((basis >> q) & 1) << k
-    return np.bincount(packed, weights=probs, minlength=1 << len(qubits))
-
-
-def measure_qubit(
-    state: StateVector, qubit: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Sample one computational-basis measurement and collapse the state."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    amps = state.amplitudes.copy()
-    # axis 1 of the view is the value of the measured qubit
-    view = amps.reshape(-1, 2, 1 << qubit)
-    ones = view[:, 1]
-    p1 = float(np.vdot(ones, ones).real)
-    outcome = 1 if rng.random() < p1 else 0
-    view[:, 1 - outcome] = 0.0
-    p_sel = p1 if outcome else 1.0 - p1
-    amps /= np.sqrt(max(p_sel, 1e-300))
-    return outcome, StateVector(state.num_qubits, amps)
-
-
-def reduced_density_matrix(state: StateVector, keep: int) -> np.ndarray:
-    """Partial trace over every qubit except ``keep``: the 2x2 density matrix
-    of that qubit, whose (1, 1) entry is the probability of reading 1."""
-    if not 0 <= keep < state.num_qubits:
+def reduced_density_matrix(amps: np.ndarray, keep: int) -> np.ndarray:
+    """Partial trace of the state with amplitudes ``amps`` (length 2**n) over
+    every qubit except ``keep``: the 2x2 density matrix of that qubit, whose
+    (1, 1) entry is the probability of reading 1."""
+    n = amps.size.bit_length() - 1
+    if not 0 <= keep < n:
         raise ValueError(f"qubit {keep} out of range")
-    n = state.num_qubits
     # axis for qubit q in the C-ordered reshape is n-1-q
-    psi = state.amplitudes.reshape([2] * n)
+    psi = amps.reshape([2] * n)
     psi = np.moveaxis(psi, n - 1 - keep, 0).reshape(2, -1)
     rho = psi @ psi.conj().T
     if abs(np.trace(rho) - 1.0) > ATOL:
@@ -483,10 +404,3 @@ def run_circuit_exact(circuit: Circuit) -> dict[str, float]:
         key = _bits_to_key(bits, nc)
         dist[key] = dist.get(key, 0.0) + prob
     return dist
-
-
-def states_equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    if a.num_qubits != b.num_qubits:
-        return False
-    overlap = abs(np.vdot(a.amplitudes, b.amplitudes))
-    return bool(abs(overlap - 1.0) <= atol)

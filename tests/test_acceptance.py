@@ -25,12 +25,12 @@ from qffnn.neuron import (
     BinaryVector,
     activation_probability,
     hypergraph_sign_synthesis,
-    rew_state,
     simulated_activation_probability,
     weight_transform_ops,
 )
 from qffnn.noise import ReadoutErrorModel, build_calibration, mitigate, noisy_counts
-from qffnn.simulator import StateVector, apply_gate, run_circuit, states_equal_up_to_phase
+from qffnn.simulator import run_circuit
+from reference import rew_amplitudes, run_gates
 
 ATOL = 1e-12
 NET = line_recognition_network()
@@ -113,16 +113,14 @@ def test_criterion_05_sign_synthesis_exhaustive():
     start = time.perf_counter()
     for num_qubits in (2, 3):
         m = 1 << num_qubits
-        uniform = StateVector(num_qubits, np.full(m, 1.0 / np.sqrt(m), dtype=complex))
+        uniform = rew_amplitudes([1] * m)
         for label in range(1 << m):
             vec = BinaryVector.from_label(label, m)
             gates, sign = hypergraph_sign_synthesis(vec)
             assert len(gates) <= m - 1
-            state = uniform.copy()
-            for gate in gates:
-                state = apply_gate(state, gate)
-            assert np.allclose(state.amplitudes, sign * rew_state(vec).amplitudes, atol=ATOL)
-            assert states_equal_up_to_phase(state, rew_state(vec), atol=ATOL)
+            state = run_gates(gates, uniform)
+            assert np.allclose(state, sign * rew_amplitudes(vec.entries), atol=ATOL)
+            assert abs(abs(np.vdot(state, rew_amplitudes(vec.entries))) - 1.0) < ATOL
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(5, f"sign synthesis exact for all 16 + 256 vectors, gate count <= m-1 ({elapsed:.2f}s)")
@@ -132,10 +130,8 @@ def test_criterion_06_weight_transform_constraint():
     start = time.perf_counter()
     for label in range(16):
         vec = BinaryVector.from_label(label, 4)
-        state = rew_state(vec)
-        for gate in weight_transform_ops(vec):
-            state = apply_gate(state, gate)
-        assert abs(abs(state.amplitudes[3]) - 1.0) < ATOL, label
+        state = run_gates(weight_transform_ops(vec), rew_amplitudes(vec.entries))
+        assert abs(abs(state[3]) - 1.0) < ATOL, label
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _passed(6, f"weight transform sends every weight state onto |11> ({elapsed:.2f}s)")

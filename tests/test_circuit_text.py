@@ -1,11 +1,13 @@
 """Circuit listing format: rendering, parsing, round-trip fidelity."""
 
+import tracemalloc
+
 import pytest
 
 from qffnn.circuit_text import format_circuit, format_op, parse_circuit
 from qffnn.network import build_hybrid_circuit, coherent_measured_circuit, line_recognition_network
 from qffnn.neuron import BinaryVector
-from qffnn.simulator import Circuit, MeasureOp, cz, h, mcx, mcz, run_circuit_exact, z
+from qffnn.simulator import MAX_QUBITS, Circuit, MeasureOp, cz, h, mcx, mcz, run_circuit_exact, z
 
 NET = line_recognition_network()
 
@@ -57,6 +59,17 @@ def test_parse_rejects_garbage():
         parse_circuit("H 0\n")  # missing header
     with pytest.raises(ValueError):
         parse_circuit("qubits 2\nclbits 1\nMEASURE 0 c0\n")
+
+
+def test_parse_rejects_a_register_past_the_qubit_cap():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_QUBITS}, got 40"):
+            parse_circuit("qubits 40\nclbits 1\nH 0\nMEASURE 0 -> c0\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,8 @@ from qffnn.network import (
     sampled_counts,
 )
 from qffnn.neuron import BinaryVector, NeuronSpec, activation_probability, simulated_activation_probability
-from qffnn.simulator import GateOp, exact_probabilities, reduced_density_matrix, simulate_state
+from qffnn.simulator import GateOp, reduced_density_matrix, simulate_state
+from reference import marginal_probabilities
 
 ATOL = 1e-12
 NET = line_recognition_network()
@@ -156,9 +157,9 @@ def test_separation_margin():
 def test_coherent_circuit_structure():
     circuit = coherent_circuit(NET, label(0))
     assert circuit.num_qubits == 7
-    kinds = [op.kind for op in circuit.gate_ops()]
+    kinds = [op.kind for op in circuit.ops]
     assert kinds.count("MCX") == 2
-    cz_ops = [op for op in circuit.gate_ops() if op.kind == "CZ"]
+    cz_ops = [op for op in circuit.ops if op.kind == "CZ"]
     synapse_cz = [op for op in cz_ops if 6 in op.targets]
     assert len(synapse_cz) == 2
     assert {op.targets for op in synapse_cz} == {(2, 6), (5, 6)}
@@ -178,8 +179,8 @@ def test_coherent_circuit_op_count_bound():
 def test_coherent_state_branch_weights_for_deterministic_input():
     # input 12 drives node 1 to certain activation and node 2 to certain rest
     state = simulate_state(coherent_circuit(NET, label(12)))
-    assert abs(exact_probabilities(state, [2])[1] - 1.0) < ATOL
-    assert abs(exact_probabilities(state, [5])[1] - 0.0) < ATOL
+    assert abs(marginal_probabilities(state, [2])[1] - 1.0) < ATOL
+    assert abs(marginal_probabilities(state, [5])[1] - 0.0) < ATOL
 
 
 def test_output_density_matrix_for_label_8():
@@ -329,6 +330,32 @@ def test_forward_pass_simulates_each_distinct_node_input_once(monkeypatch):
     assert abs(p_out - brute_force_output_law(net, label(0))) < ATOL
 
 
+def wide_hidden_nodes_network() -> NetworkSpec:
+    """Two m = 32 hidden nodes and a one-qubit output node: 13 qubits as one
+    combined circuit, one more than MAX_QUBITS."""
+    hidden = LayerSpec(
+        (
+            NeuronSpec(label(0x0F0F0F0F, 32), (0, 1, 2, 3, 4), 5),
+            NeuronSpec(label(0x00FF00FF, 32), (6, 7, 8, 9, 10), 11),
+        )
+    )
+    out = LayerSpec((NeuronSpec(BinaryVector((1, -1)), (12,), None),))
+    return NetworkSpec((hidden, out), (((0, 1),),))
+
+
+def test_combined_circuit_past_the_qubit_cap_falls_back_to_the_forward_pass():
+    net, vec = wide_hidden_nodes_network(), label(0x0F0F00FF, 32)
+    with pytest.raises(UnsupportedTopology, match="13 qubits"):
+        build_hybrid_circuit(net, vec)
+    with pytest.raises(UnsupportedTopology):
+        sampled_counts(net, vec, "hybrid", 100, np.random.default_rng(0))
+    exact = brute_force_output_law(net, vec)
+    assert 0.0 < exact < 1.0 and abs(hybrid_exact(net, vec).p_out - exact) < ATOL
+    shots = 20_000
+    result = hybrid_sampled(net, vec, shots, np.random.default_rng(13))
+    assert abs(result.p_out - exact) <= 5 * np.sqrt(exact * (1 - exact) / shots) + 1e-9
+
+
 def test_coherent_mode_rejects_deep_networks():
     with pytest.raises(UnsupportedTopology):
         coherent_exact(deep_network(), label(0))
@@ -405,4 +432,12 @@ def test_network_spec_json_names_missing_and_ill_typed_fields():
     doc = NET.to_json_dict()
     del doc["layers"][0]["neurons"][1]["weight_label"]
     with pytest.raises(ValueError, match="neuron 1 of layer 0 has no field 'weight_label'"):
+        NetworkSpec.from_json_dict(doc)
+
+
+def test_network_spec_json_caps_qubits_before_building_the_weight():
+    # a weight_label over 2**40 entries would need 1 << (1 << 40) first
+    doc = NET.to_json_dict()
+    doc["layers"][0]["neurons"][1].update(qubits=list(range(40)), ancilla=40)
+    with pytest.raises(ValueError, match="neuron 1 of layer 0 lists 40 qubits, more than MAX_QUBITS=12"):
         NetworkSpec.from_json_dict(doc)

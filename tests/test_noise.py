@@ -121,6 +121,18 @@ def test_mitigated_vector_is_a_distribution():
     assert abs(vec.sum() - 1.0) < 1e-12
 
 
+def test_mitigate_checks_the_condition_number_not_the_determinant():
+    # at 7 bits the determinant 0.1**(7 * 64) underflows to 0.0, while the
+    # condition number is only 10**7
+    cal = build_calibration(ReadoutErrorModel(0.45, 0.45), 7)
+    assert np.linalg.det(cal.matrix) == 0.0
+    vec = mitigate(Counts({"0000000": 60, "1111111": 40}, 100), cal)
+    assert vec.min() >= 0.0 and abs(vec.sum() - 1.0) < 1e-12
+    singular = CalibrationMatrix(np.full((2, 2), 0.5), 1)
+    with pytest.raises(ValueError, match="singular.*condition number"):
+        mitigate(Counts({"0": 3, "1": 1}, 4), singular)
+
+
 def test_mitigate_rejects_width_mismatch():
     counts = Counts({"00": 100}, 100)
     cal = build_calibration(ReadoutErrorModel(0.05, 0.03), 3)

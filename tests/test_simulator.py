@@ -1,5 +1,7 @@
-"""Statevector engine tests: gate action, measurement, sampling vs exact
-branch enumeration, deferred measurement, partial trace."""
+"""Statevector engine tests: gate action against hand values and against the
+dense reference (tests/reference.py), measurement, sampling vs exact branch
+enumeration vs the per-shot reference sampler, deferred measurement, partial
+trace."""
 
 import tracemalloc
 
@@ -10,33 +12,31 @@ from hypothesis import strategies as st
 
 from qffnn.simulator import (
     MAX_BRANCHES,
+    MAX_QUBITS,
     Circuit,
     Counts,
     GateOp,
     MeasureOp,
-    StateVector,
-    apply_gate,
     cz,
     defer_measurements,
-    exact_probabilities,
     h,
     mcx,
     mcz,
-    measure_qubit,
     reduced_density_matrix,
     run_circuit,
     run_circuit_exact,
+    simulate_state,
     x,
     z,
 )
+from reference import marginal_probabilities, run_gates, sample_counts, zero_state
 
 ATOL = 1e-12
 
 
-def random_state(num_qubits: int, rng: np.random.Generator) -> StateVector:
+def random_state(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    amps /= np.linalg.norm(amps)
-    return StateVector(num_qubits, amps)
+    return amps / np.linalg.norm(amps)
 
 
 def random_gate(num_qubits: int, rng: np.random.Generator) -> GateOp:
@@ -56,42 +56,41 @@ def random_gate(num_qubits: int, rng: np.random.Generator) -> GateOp:
     return h(int(rng.integers(num_qubits)))
 
 
+def random_unitary_circuit(num_qubits: int, rng: np.random.Generator) -> Circuit:
+    """Hadamard on every qubit, then six random gates."""
+    circuit = Circuit(num_qubits).extend([h(q) for q in range(num_qubits)])
+    return circuit.extend([random_gate(num_qubits, rng) for _ in range(6)])
+
+
 # ---------------------------------------------------------------------------
 # gate application
 
 
 def test_h_on_zero_gives_plus():
-    state = apply_gate(StateVector.zero(1), h(0))
-    assert np.allclose(state.amplitudes, [np.sqrt(0.5), np.sqrt(0.5)], atol=ATOL)
+    amps = simulate_state(Circuit(1).append(h(0)))
+    assert np.allclose(amps, [np.sqrt(0.5), np.sqrt(0.5)], atol=ATOL)
 
 
 def test_cz_flips_only_the_all_ones_component():
-    state = StateVector.zero(2)
-    state = apply_gate(apply_gate(state, h(0)), h(1))
-    state = apply_gate(state, cz(0, 1))
-    assert np.allclose(state.amplitudes, [0.5, 0.5, 0.5, -0.5], atol=ATOL)
+    amps = simulate_state(Circuit(2).append(h(0), h(1), cz(0, 1)))
+    assert np.allclose(amps, [0.5, 0.5, 0.5, -0.5], atol=ATOL)
 
 
 def test_mcx_swaps_paired_components():
     # basis index 3 = qubits 0,1 set, ancilla qubit 2 clear -> index 7
-    amps = np.zeros(8, dtype=complex)
-    amps[3] = 1.0
-    state = apply_gate(StateVector(3, amps), mcx((0, 1), 2))
-    assert abs(state.amplitudes[7] - 1.0) < ATOL
-    assert abs(state.amplitudes[3]) < ATOL
+    amps = simulate_state(Circuit(3).append(x(0), x(1), mcx((0, 1), 2)))
+    assert abs(amps[7] - 1.0) < ATOL
+    assert abs(amps[3]) < ATOL
 
 
 def test_mcx_leaves_unselected_components_alone():
-    amps = np.zeros(8, dtype=complex)
-    amps[1] = 1.0  # control qubit 1 is clear
-    state = apply_gate(StateVector(3, amps), mcx((0, 1), 2))
-    assert abs(state.amplitudes[1] - 1.0) < ATOL
+    amps = simulate_state(Circuit(3).append(x(0), mcx((0, 1), 2)))  # control qubit 1 is clear
+    assert abs(amps[1] - 1.0) < ATOL
 
 
 def test_apply_gate_rejects_out_of_range_and_duplicates():
-    state = StateVector.zero(2)
-    with pytest.raises(ValueError):
-        apply_gate(state, h(5))
+    with pytest.raises(ValueError, match="qubit 5 out of range"):
+        simulate_state(Circuit(2).append(h(5)))
     with pytest.raises(ValueError):
         cz(1, 1)
     with pytest.raises(ValueError):
@@ -99,28 +98,70 @@ def test_apply_gate_rejects_out_of_range_and_duplicates():
 
 
 def test_apply_gate_rejects_conditioned_gates():
-    with pytest.raises(ValueError):
-        apply_gate(StateVector.zero(1), z(0).conditioned_on(0))
+    with pytest.raises(ValueError, match="before any measurement"):
+        simulate_state(Circuit(1, 1).append(z(0).conditioned_on(0)))
+    with pytest.raises(ValueError, match="only supports unitary circuits"):
+        simulate_state(Circuit(1, 1).measure(0, 0).append(z(0).conditioned_on(0)))
+
+
+def test_qubit_cap_is_checked_before_allocating():
+    # 2**40 amplitudes would take 16 TiB; the register size is checked first
+    tracemalloc.start()
+    try:
+        for too_wide in (Circuit(40, 1).append(h(0)).measure(0, 0), Circuit(MAX_QUBITS + 1)):
+            with pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_QUBITS}"):
+                run_circuit_exact(too_wide)
+            with pytest.raises(ValueError, match=f"num_qubits must be in 1..{MAX_QUBITS}"):
+                simulate_state(Circuit(too_wide.num_qubits))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="num_qubits"):
+        run_circuit_exact(Circuit(0))
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 5))
 def test_norm_preserved_by_every_gate(seed, num_qubits):
-    rng = np.random.default_rng(seed)
-    state = random_state(num_qubits, rng)
-    for _ in range(6):
-        state = apply_gate(state, random_gate(num_qubits, rng))
-        assert abs(state.norm() - 1.0) < ATOL
+    circuit = random_unitary_circuit(num_qubits, np.random.default_rng(seed))
+    for k in range(num_qubits, len(circuit.ops) + 1):
+        amps = simulate_state(Circuit(num_qubits, 0, circuit.ops[:k]))
+        assert abs(np.linalg.norm(amps) - 1.0) < ATOL
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_involution_gates_square_to_identity(seed):
-    rng = np.random.default_rng(seed)
-    state = random_state(4, rng)
+    prefix = random_unitary_circuit(4, np.random.default_rng(seed))
+    amps = simulate_state(prefix)
     for gate in (x(2), z(1), cz(0, 3), mcz(0, 1, 2), h(3), mcx((1, 3), 0)):
-        twice = apply_gate(apply_gate(state, gate), gate)
-        assert np.allclose(twice.amplitudes, state.amplitudes, atol=ATOL)
+        twice = simulate_state(Circuit(4, 0, prefix.ops + [gate, gate]))
+        assert np.allclose(twice, amps, atol=ATOL)
+
+
+def unitary_circuits(max_qubits: int) -> st.SearchStrategy:
+    """Random measurement-free circuits over every gate kind."""
+
+    def gates(n: int) -> st.SearchStrategy:
+        qubits = st.permutations(range(n))
+        gate = qubits.flatmap(
+            lambda qs: st.sampled_from(
+                [h(qs[0]), x(qs[0]), z(qs[0])]
+                + ([cz(qs[0], qs[1]), mcx(qs[1:2], qs[0]), mcx(qs[1:], qs[0])] if n >= 2 else [])
+                + ([mcz(*qs[:3]), mcz(*qs)] if n >= 3 else [])
+            )
+        )
+        return st.lists(gate, max_size=24).map(lambda ops: Circuit(n, 0, ops))
+
+    return st.integers(1, max_qubits).flatmap(gates)
+
+
+@settings(max_examples=150, deadline=None)
+@given(circuit=unitary_circuits(7))
+def test_simulate_state_matches_the_dense_reference(circuit):
+    expected = run_gates(circuit.ops, zero_state(circuit.num_qubits))
+    assert np.abs(simulate_state(circuit) - expected).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -128,69 +169,53 @@ def test_involution_gates_square_to_identity(seed):
 
 
 def test_exact_probabilities_single_qubit_plus():
-    state = apply_gate(StateVector.zero(1), h(0))
-    assert np.allclose(exact_probabilities(state, [0]), [0.5, 0.5], atol=ATOL)
+    amps = simulate_state(Circuit(1).append(h(0)))
+    assert np.allclose(marginal_probabilities(amps, [0]), [0.5, 0.5], atol=ATOL)
+    assert run_circuit_exact(Circuit(1, 1).append(h(0)).measure(0, 0)) == pytest.approx({"0": 0.5, "1": 0.5})
 
 
 def test_exact_probabilities_two_qubit_ones():
-    amps = np.zeros(4, dtype=complex)
-    amps[3] = 1.0
-    table = exact_probabilities(StateVector(2, amps), [0, 1])
-    assert np.allclose(table, [0, 0, 0, 1.0], atol=ATOL)
+    amps = simulate_state(Circuit(2).append(x(0), x(1)))
+    assert np.allclose(marginal_probabilities(amps, [0, 1]), [0, 0, 0, 1.0], atol=ATOL)
+    # the first listed qubit is the least significant outcome bit
+    amps = simulate_state(Circuit(3).append(x(2)))
+    assert np.allclose(marginal_probabilities(amps, [2, 0]), [0, 1.0, 0, 0], atol=ATOL)
 
 
 def test_exact_probabilities_on_a_neuron_state():
     # input label 8 against weight label 12: overlap 2/4, so p(1) = 0.25
     from qffnn.neuron import BinaryVector, NeuronSpec, node_ops
-    from qffnn.simulator import simulate_state
 
     circuit = Circuit(3)
     spec = NeuronSpec(BinaryVector.from_label(12, 4), (0, 1), 2)
     circuit.extend(node_ops(BinaryVector.from_label(8, 4), spec))
-    table = exact_probabilities(simulate_state(circuit), [2])
+    table = marginal_probabilities(simulate_state(circuit), [2])
     assert abs(table[1] - 0.25) < ATOL
 
 
-def test_exact_probabilities_validates_input():
-    state = StateVector.zero(2)
-    with pytest.raises(ValueError):
-        exact_probabilities(state, [])
-    with pytest.raises(ValueError):
-        exact_probabilities(state, [0, 0])
-    with pytest.raises(ValueError):
-        exact_probabilities(state, [4])
-
-
 def test_measure_excited_state_is_deterministic():
-    amps = np.zeros(2, dtype=complex)
-    amps[1] = 1.0
-    outcome, post = measure_qubit(StateVector(1, amps), 0, np.random.default_rng(0))
-    assert outcome == 1
-    assert abs(post.amplitudes[1] - 1.0) < ATOL
+    circuit = Circuit(1, 1).append(x(0)).measure(0, 0)
+    assert run_circuit_exact(circuit) == {"1": 1.0}
+    assert run_circuit(circuit, 100, np.random.default_rng(0)).counts == {"1": 100}
 
 
 def test_measure_plus_state_statistics_and_reproducibility():
-    def sequence(seed, shots=100_000):
-        rng = np.random.default_rng(seed)
-        plus = apply_gate(StateVector.zero(1), h(0))
-        return [measure_qubit(plus, 0, rng)[0] for _ in range(shots)]
+    plus = Circuit(1, 1).append(h(0)).measure(0, 0)
 
-    first = sequence(123)
-    assert first == sequence(123)
-    freq = sum(first) / len(first)
-    sigma = np.sqrt(0.25 / len(first))
+    def counts(seed, shots=100_000):
+        return run_circuit(plus, shots, np.random.default_rng(seed))
+
+    first = counts(123)
+    assert first == counts(123)
+    freq = first.marginal_probability(0)
+    sigma = np.sqrt(0.25 / first.total_shots)
     assert abs(freq - 0.5) <= 5 * sigma
 
 
 def test_measure_collapses_entangled_partner():
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[3] = np.sqrt(0.5)
-    bell = StateVector(2, amps)
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        outcome, post = measure_qubit(bell, 0, rng)
-        expected = 3 if outcome else 0
-        assert abs(abs(post.amplitudes[expected]) - 1.0) < ATOL
+    bell = Circuit(2, 2).append(h(0), mcx((0,), 1)).measure(0, 0).measure(1, 1)
+    assert run_circuit_exact(bell) == pytest.approx({"00": 0.5, "11": 0.5}, abs=ATOL)
+    assert set(run_circuit(bell, 20, np.random.default_rng(5)).counts) == {"00", "11"}
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +231,7 @@ def test_run_circuit_classical_control_correlates_bits():
     counts = run_circuit(circuit, 4000, np.random.default_rng(11))
     assert set(counts.counts) <= {"00", "11"}
     assert counts.total_shots == 4000
-    assert 0.4 < counts.frequency("11") < 0.6
+    assert 0.4 < counts.counts["11"] / counts.total_shots < 0.6
 
 
 def test_run_circuit_empty_circuit():
@@ -239,7 +264,7 @@ def test_run_circuit_matched_node_activates_every_shot():
 
     vec = BinaryVector.from_label(12, 4)
     counts = run_circuit(neuron_circuit(vec, vec), 10_000, np.random.default_rng(3))
-    assert counts.frequency("1") == 1.0
+    assert counts.counts == {"1": 10_000}
 
 
 def test_run_circuit_exact_single_hadamard():
@@ -292,26 +317,7 @@ def test_sampled_counts_match_exact_distribution(seed):
     for key, p in exact.items():
         p = min(max(p, 0.0), 1.0)
         sigma = np.sqrt(p * (1.0 - p) / shots)
-        assert abs(counts.frequency(key) - p) <= 5 * sigma + 1e-9
-
-
-def reference_counts(circuit: Circuit, shots: int, rng: np.random.Generator) -> dict[str, int]:
-    """Per-shot sampler built only on apply_gate and measure_qubit: each shot
-    runs the circuit on its own state and classical register."""
-    counts: dict[str, int] = {}
-    for _ in range(shots):
-        state = StateVector.zero(circuit.num_qubits)
-        bits = [0] * circuit.num_clbits
-        for op in circuit.ops:
-            if isinstance(op, MeasureOp):
-                bits[op.clbit], state = measure_qubit(state, op.qubit, rng)
-                continue
-            cond = op.classical_condition
-            if cond is None or bits[cond[0]] == cond[1]:
-                state = apply_gate(state, GateOp(op.kind, op.targets, op.controls))
-        key = "".join(str(b) for b in reversed(bits))
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+        assert abs(counts.counts.get(key, 0) / shots - p) <= 5 * sigma + 1e-9
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -320,7 +326,7 @@ def test_reference_sampler_matches_exact_distribution(seed):
     circuit = _random_circuit(rng, num_qubits=7, num_gates=30, num_clbits=3)
     exact = run_circuit_exact(circuit)
     shots = 1500
-    counts = reference_counts(circuit, shots, np.random.default_rng(seed + 2000))
+    counts = sample_counts(circuit, shots, np.random.default_rng(seed + 2000))
     assert set(counts) <= set(exact)
     for key, p in exact.items():
         p = min(max(p, 0.0), 1.0)
@@ -453,7 +459,7 @@ def test_deferring_measurements_keeps_the_outcome_law(circuit):
     measures = [op for op in circuit.ops if isinstance(op, MeasureOp)]
     assert (deferred.num_qubits, deferred.num_clbits) == (circuit.num_qubits, circuit.num_clbits)
     assert deferred.ops[len(deferred.ops) - len(measures) :] == measures
-    assert all(op.classical_condition is None for op in deferred.gate_ops())
+    assert all(op.classical_condition is None for op in deferred.ops if isinstance(op, GateOp))
     law, deferred_law = run_circuit_exact(circuit), run_circuit_exact(deferred)
     for key in set(law) | set(deferred_law):
         assert abs(law.get(key, 0.0) - deferred_law.get(key, 0.0)) < ATOL
@@ -483,16 +489,14 @@ def test_defer_measurements_rejects_gates_on_measured_qubits():
 
 
 def test_reduced_density_matrix_of_product_state():
-    state = StateVector.zero(3)
-    state = apply_gate(apply_gate(state, h(0)), h(1))
-    rho = reduced_density_matrix(state, 2)
+    rho = reduced_density_matrix(simulate_state(Circuit(3).append(h(0), h(1))), 2)
     assert np.allclose(rho, [[1.0, 0.0], [0.0, 0.0]], atol=ATOL)
 
 
 def test_reduced_density_matrix_of_bell_pair_is_maximally_mixed():
     amps = np.zeros(4, dtype=complex)
     amps[0] = amps[3] = np.sqrt(0.5)
-    rho = reduced_density_matrix(StateVector(2, amps), 0)
+    rho = reduced_density_matrix(amps, 0)
     assert np.allclose(rho, np.eye(2) / 2, atol=ATOL)
 
 
@@ -503,7 +507,7 @@ def test_reduced_density_matrix_diagonal_matches_marginals(seed, num_qubits):
     state = random_state(num_qubits, rng)
     keep = int(rng.integers(num_qubits))
     rho = reduced_density_matrix(state, keep)
-    table = exact_probabilities(state, [keep])
+    table = marginal_probabilities(state, [keep])
     assert abs(rho[0, 0].real - table[0]) < ATOL
     assert abs(rho[1, 1].real - table[1]) < ATOL
 
@@ -512,4 +516,4 @@ def test_reduced_density_matrix_rejects_unnormalized_states():
     amps = np.zeros(4, dtype=complex)
     amps[0] = 0.5
     with pytest.raises(ValueError, match="trace"):
-        reduced_density_matrix(StateVector(2, amps), 0)
+        reduced_density_matrix(amps, 0)
