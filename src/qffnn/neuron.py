@@ -8,8 +8,9 @@ the uniform superposition by Z, CZ and multi-controlled-Z sign flips alone.
 A Z-type gate on the qubit set S flips the sign of every basis index that
 contains S, so the gates a vector needs are the algebraic normal form of its
 sign pattern j -> [i_j != i_0]; the synthesis routine below computes it with
-N butterfly stages of a subset-XOR (Moebius) transform on the label bitmask
-and emits at most m-1 gates.
+``simulator.subset_xor_transform`` on the label bitmask and emits at most m-1
+gates.  The simulator runs the same transform the other way to fold those
+gates back into one sign multiply.
 
 The weight stage reuses the same sign-flip synthesis followed by Hadamard and
 X on every encoding qubit; it maps the weight's own REW state onto |1...1>,
@@ -19,62 +20,70 @@ component onto an ancilla, whose excitation probability (i.w/m)**2 is the
 node's activation.
 
 Pattern labels: a length-m sign vector is identified with the integer whose
-bit k is 0 for entry +1 and 1 for entry -1.  For m = 4 the entries are read
-as 2x2 pixels in row-major order (entry 0 top-left, entry 3 bottom-right),
-+1 drawn filled and -1 empty; the full-row images get labels 12 and 3, the
-full-column images 10 and 5.
+bit k is 0 for entry +1 and 1 for entry -1; ``BinaryVector`` stores just m
+and that bitmask.  For m = 4 the entries are read as 2x2 pixels in row-major
+order (entry 0 top-left, entry 3 bottom-right), +1 drawn filled and -1 empty;
+the full-row images get labels 12 and 3, the full-column images 10 and 5.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Sequence
+import operator
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .simulator import Circuit, GateOp, cz, h, mcx, mcz, simulate_state, x, z
+from .simulator import Circuit, GateOp, h, mcx, simulate_state, subset_xor_transform, x
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class BinaryVector:
-    """Sign vector with entries in {-1, +1} and power-of-two length."""
+    """Sign vector with entries in {-1, +1} and power-of-two length ``m``,
+    stored as ``m`` and its label bitmask (bit k set iff entry k is -1)."""
 
-    entries: tuple[int, ...]
+    m: int
+    mask: int
 
-    def __post_init__(self) -> None:
-        entries = self.entries
-        # a tuple of plain ints is kept as given: at m = 4096 a copy is 32 KB
-        if type(entries) is not tuple or any(type(e) is not int for e in entries):
-            entries = tuple(int(e) for e in entries)
-            object.__setattr__(self, "entries", entries)
-        if any(e not in (-1, 1) for e in entries):
-            raise ValueError("entries must be -1 or +1")
-        m = len(entries)
+    def __init__(self, entries: Iterable[int]) -> None:
+        try:
+            signs = list(map(operator.index, entries))
+        except TypeError:
+            signs = [0]  # not a sign, so refused below
+        if not set(signs) <= {-1, 1}:
+            raise ValueError("entries must be the integers -1 or +1")
+        self._set(len(signs), int("0" + "".join(["1" if e < 0 else "0" for e in reversed(signs)]), 2))
+
+    def _set(self, m: int, mask: int) -> None:
         if m < 2 or m & (m - 1):
             raise ValueError("length must be a power of two >= 2")
+        if not 0 <= mask < (1 << m):
+            raise ValueError(f"label {mask} out of range for m={m}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_label(cls, label: int, m: int) -> "BinaryVector":
-        if not 0 <= label < (1 << m):
-            raise ValueError(f"label {label} out of range for m={m}")
-        return cls(tuple(-1 if (label >> k) & 1 else 1 for k in range(m)))
+        vec = object.__new__(cls)
+        vec._set(m, label)
+        return vec
 
     @property
-    def m(self) -> int:
-        return len(self.entries)
+    def entries(self) -> tuple[int, ...]:
+        return tuple([-1 if c == "1" else 1 for c in reversed(f"{self.mask:0{self.m}b}")])
 
     @property
     def num_qubits(self) -> int:
         return self.m.bit_length() - 1
 
     def label(self) -> int:
-        return sum(1 << k for k, e in enumerate(self.entries) if e == -1)
+        return self.mask
 
     def negated(self) -> "BinaryVector":
-        return BinaryVector(tuple(-e for e in self.entries))
+        return BinaryVector.from_label(self.mask ^ ((1 << self.m) - 1), self.m)
 
     def dot(self, other: "BinaryVector") -> int:
         if other.m != self.m:
             raise ValueError("length mismatch")
-        return sum(a * b for a, b in zip(self.entries, other.entries))
+        return self.m - 2 * (self.mask ^ other.mask).bit_count()
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,69 +115,47 @@ class NeuronSpec:
         return self.encoding_qubits + (self.ancilla_qubit,)
 
 
-def hypergraph_sign_synthesis(vec: BinaryVector) -> tuple[list[GateOp], int]:
+def _register(vec: BinaryVector, qubits: Sequence[int] | None) -> tuple[int, ...]:
+    qubits = tuple(qubits) if qubits is not None else tuple(range(vec.num_qubits))
+    if len(qubits) != vec.num_qubits:
+        raise ValueError("qubit count does not match vector length")
+    return qubits
+
+
+def hypergraph_sign_synthesis(vec: BinaryVector, qubits: Sequence[int] | None = None) -> tuple[list[GateOp], int]:
     """Sign-flip gate cascade (HSGS) preparing ``vec`` from the uniform state.
 
-    Returns (gates, global_sign) with gates over local qubits 0..N-1 such that
-    applying them to |+>^N gives global_sign times the REW state of ``vec``
-    exactly.  If the first entry is -1 the vector is negated up front and the
-    -1 is reported as the (unobservable) global sign instead of being
-    synthesized.
+    Returns (gates, global_sign) with gates on ``qubits`` (default 0..N-1;
+    qubits[k] encodes bit k of the basis index) such that applying them to
+    |+>^N gives global_sign times the REW state of ``vec`` exactly.  If the
+    first entry is -1 the vector is negated up front and the -1 is reported
+    as the (unobservable) global sign instead of being synthesized.
 
     Bit j of the (possibly complemented) label f says whether entry j must be
     flipped.  The gate on the qubits set in j flips every index containing j,
     so f[j] is the XOR of the gate bits g[s] over all subsets s of j, and g is
-    recovered by the subset-XOR (Moebius) transform of f: for each qubit k,
-    every index with bit k set is XORed with its partner without bit k.  On
-    the bitmask that is one shift, AND and XOR per qubit.  Index 0 is a subset
-    only of itself, so g[0] = f[0] = 0 and at most m-1 gates come out.  They
-    are emitted in order of increasing Hamming weight, ties by index.
+    recovered by the subset-XOR transform of f.  Index 0 is a subset only of
+    itself, so g[0] = f[0] = 0 and at most m-1 gates come out.  They are
+    emitted in order of increasing Hamming weight, ties by index.
     """
-    m, n = vec.m, vec.num_qubits
-    full = (1 << m) - 1
-    f = vec.label()
-    global_sign = 1
-    if vec.entries[0] == -1:
-        global_sign = -1
-        f ^= full
-    for k in range(n):
-        step = 1 << k
-        # bit j of low is set iff bit k of j is 0: runs of step ones, step zeros
-        low = ((1 << step) - 1) * (full // ((1 << 2 * step) - 1))
-        f ^= (f & low) << step
+    qubits = _register(vec, qubits)
+    global_sign = -1 if vec.mask & 1 else 1
+    f = vec.mask ^ ((1 << vec.m) - 1) if global_sign == -1 else vec.mask
+    f = subset_xor_transform(f, vec.num_qubits)
     gates: list[GateOp] = []
     flips = [j for j, bit in enumerate(bin(f)[:1:-1]) if bit == "1"]
     # flips is in index order and the sort is stable: (Hamming weight, index)
     for j in sorted(flips, key=int.bit_count):
-        qubits = tuple(k for k in range(n) if (j >> k) & 1)
-        if len(qubits) == 1:
-            gates.append(z(qubits[0]))
-        elif len(qubits) == 2:
-            gates.append(cz(*qubits))
-        else:
-            gates.append(mcz(*qubits))
+        on = tuple(q for k, q in enumerate(qubits) if (j >> k) & 1)
+        gates.append(GateOp(("Z", "CZ", "MCZ")[min(len(on), 3) - 1], on))
     return gates, global_sign
-
-
-def _remap(gates: Sequence[GateOp], qubits: Sequence[int]) -> list[GateOp]:
-    return [
-        replace(
-            g,
-            targets=tuple(qubits[t] for t in g.targets),
-            controls=tuple(qubits[c] for c in g.controls),
-        )
-        for g in gates
-    ]
 
 
 def input_preparation_ops(vec: BinaryVector, qubits: Sequence[int] | None = None) -> list[GateOp]:
     """Gates taking |0...0> to the REW state of ``vec`` (up to global sign):
     Hadamard on every encoding qubit, then the sign-flip cascade."""
-    qubits = tuple(qubits) if qubits is not None else tuple(range(vec.num_qubits))
-    if len(qubits) != vec.num_qubits:
-        raise ValueError("qubit count does not match vector length")
-    gates, _ = hypergraph_sign_synthesis(vec)
-    return [h(q) for q in qubits] + _remap(gates, qubits)
+    qubits = _register(vec, qubits)
+    return [h(q) for q in qubits] + hypergraph_sign_synthesis(vec, qubits)[0]
 
 
 def weight_transform_ops(vec: BinaryVector, qubits: Sequence[int] | None = None) -> list[GateOp]:
@@ -179,13 +166,11 @@ def weight_transform_ops(vec: BinaryVector, qubits: Sequence[int] | None = None)
     finish the job.  For a single-qubit node this collapses to one or two
     gates because X.H.Z == H exactly.
     """
-    qubits = tuple(qubits) if qubits is not None else tuple(range(vec.num_qubits))
-    if len(qubits) != vec.num_qubits:
-        raise ValueError("qubit count does not match vector length")
-    gates, _ = hypergraph_sign_synthesis(vec)
+    qubits = _register(vec, qubits)
+    gates, _ = hypergraph_sign_synthesis(vec, qubits)
     if vec.num_qubits == 1:
         return [h(qubits[0])] if gates else [h(qubits[0]), x(qubits[0])]
-    return _remap(gates, qubits) + [h(q) for q in qubits] + [x(q) for q in qubits]
+    return gates + [h(q) for q in qubits] + [x(q) for q in qubits]
 
 
 def activation_gate(encoding_qubits: Sequence[int], ancilla: int) -> GateOp:

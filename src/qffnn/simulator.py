@@ -15,15 +15,16 @@ Conventions used throughout the package:
 Supported gates: H, X, Z, CZ, MCZ (phase flip where every participating qubit
 is 1) and MCX (NOT on the target where every control is 1).
 
-One gate kernel, ``_apply_gate_kernel``, serves two engines, and both check
-the circuit (``Circuit.validate``, which caps the register at ``MAX_QUBITS``)
-before they allocate a state.  ``simulate_state`` returns the amplitude array
-of a unitary circuit.  ``run_circuit_exact`` handles circuits with
-measurements: it enumerates every measurement outcome as a branch with its
-probability, at most ``MAX_BRANCHES`` branches at a time.  ``run_circuit``
-samples shots as a single multinomial draw from that exact law; shots are
-independent and identically distributed, so the counts follow the same
-distribution as running each shot on its own.
+Both engines check the circuit (``Circuit.validate`` caps both registers at
+``MAX_QUBITS``) before they allocate a state.  They apply H, X and MCX with
+``_apply_gate_kernel`` and fold each run of Z, CZ and MCZ gates under one
+classical condition into a multiply by its +-1 diagonal, found with
+``subset_xor_transform``.  ``simulate_state`` returns the amplitudes of a
+unitary circuit.  ``run_circuit_exact`` enumerates every measurement outcome
+as a branch with its probability, at most ``MAX_BRANCHES`` at a time.
+``run_circuit`` samples shots as one multinomial draw from that exact law;
+shots are i.i.d., so the counts follow the same distribution as running each
+shot on its own.
 
 ``defer_measurements`` rewrites a circuit with mid-circuit measurement and
 classical control into one whose measurements all come last, turning each
@@ -33,8 +34,9 @@ is unchanged.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -159,11 +161,13 @@ class Circuit:
         return self
 
     def validate(self) -> None:
-        """Check the register size against ``MAX_QUBITS``, index bounds, and
+        """Check both register sizes against ``MAX_QUBITS``, index bounds, and
         that every classical condition reads a bit written by an earlier
         measurement.  Both engines call this before they allocate a state."""
         if not 1 <= self.num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}")
+        if not 0 <= self.num_clbits <= MAX_QUBITS:
+            raise ValueError(f"num_clbits must be in 0..{MAX_QUBITS}, got {self.num_clbits}")
         written: set[int] = set()
         for op in self.ops:
             if isinstance(op, MeasureOp):
@@ -278,39 +282,76 @@ def _indices_all_ones(num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
 
 
 def _apply_gate_kernel(amps: np.ndarray, gate: GateOp, num_qubits: int) -> None:
-    """Apply ``gate`` in place to ``amps`` of shape (rows, 2**num_qubits)."""
+    """Apply an H, X or MCX ``gate`` in place to ``amps`` of shape (rows, 2**n)."""
+    t = gate.targets[0]
     if gate.kind == "H":
-        t = gate.targets[0]
         i0 = _indices_bit_clear(num_qubits, t)
         i1 = i0 + (1 << t)
         a = amps[:, i0].copy()
         b = amps[:, i1]
         amps[:, i0] = (a + b) * SQRT_HALF
         amps[:, i1] = (a - b) * SQRT_HALF
-    elif gate.kind in ("X", "MCX"):
-        t = gate.targets[0]
+    else:
         sel = _indices_all_ones(num_qubits, gate.controls)
         i0 = sel[(sel >> t) & 1 == 0]
         i1 = i0 + (1 << t)
         tmp = amps[:, i0].copy()
         amps[:, i0] = amps[:, i1]
         amps[:, i1] = tmp
+
+
+def subset_xor_transform(bits: int, num_qubits: int) -> int:
+    """Subset-XOR (Moebius) transform of a 2**num_qubits-bit mask, its own
+    inverse: bit j of the result is the XOR of the input bits at the subsets
+    of j.  One shift, AND and XOR per qubit."""
+    full = (1 << (1 << num_qubits)) - 1
+    for k in range(num_qubits):
+        step = 1 << k
+        # bit j of low is set iff bit k of j is 0: runs of step ones, step zeros
+        low = ((1 << step) - 1) * (full // ((1 << 2 * step) - 1))
+        bits ^= (bits & low) << step
+    return bits
+
+
+def _diagonal_signs(gates: Iterable[GateOp], num_qubits: int) -> np.ndarray:
+    """+-1 diagonal of a run of Z, CZ and MCZ gates: the gate on qubit set S
+    flips every index containing S, so the flips are the subset-XOR transform
+    of the sets the run acts on an odd number of times."""
+    sets = 0
+    for gate in gates:
+        sets ^= 1 << sum(1 << q for q in gate.participants)
+    flips = subset_xor_transform(sets, num_qubits).to_bytes(1 << max(num_qubits - 3, 0), "little")
+    return 1.0 - 2.0 * np.unpackbits(np.frombuffer(flips, np.uint8), count=1 << num_qubits, bitorder="little")
+
+
+def _fused(ops: Sequence[CircuitOp], num_qubits: int) -> Iterator[tuple[CircuitOp | np.ndarray, tuple[int, int] | None]]:
+    """(op, classical condition) pairs, with each run of diagonal gates under
+    one condition folded into its +-1 diagonal; measurements end a run."""
+    key = lambda op: (getattr(op, "kind", "") in DIAGONAL_KINDS, getattr(op, "classical_condition", None))
+    for (diagonal, cond), run in itertools.groupby(ops, key):
+        if diagonal:
+            yield _diagonal_signs(run, num_qubits), cond
+        else:
+            yield from ((op, cond) for op in run)
+
+
+def _apply(amps: np.ndarray, step: GateOp | np.ndarray, num_qubits: int) -> None:
+    if isinstance(step, np.ndarray):
+        amps *= step
     else:
-        cols = _indices_all_ones(num_qubits, gate.participants)
-        amps[:, cols] *= -1.0
+        _apply_gate_kernel(amps.reshape(1, -1), step, num_qubits)
 
 
 def simulate_state(circuit: Circuit) -> np.ndarray:
     """Amplitudes (length 2**n) of the final state of a purely unitary circuit
     (no measurements, no conditions) started in |0...0>."""
     circuit.validate()
+    if any(isinstance(op, MeasureOp) or op.classical_condition is not None for op in circuit.ops):
+        raise ValueError("simulate_state only supports unitary circuits")
     amps = np.zeros(1 << circuit.num_qubits, dtype=complex)
     amps[0] = 1.0
-    rows = amps.reshape(1, -1)
-    for op in circuit.ops:
-        if isinstance(op, MeasureOp) or op.classical_condition is not None:
-            raise ValueError("simulate_state only supports unitary circuits")
-        _apply_gate_kernel(rows, op, circuit.num_qubits)
+    for step, _ in _fused(circuit.ops, circuit.num_qubits):
+        _apply(amps, step, circuit.num_qubits)
     return amps
 
 
@@ -373,7 +414,7 @@ def run_circuit_exact(circuit: Circuit) -> dict[str, float]:
     init = np.zeros(1 << n, dtype=complex)
     init[0] = 1.0
     branches: list[tuple[np.ndarray, list[int], float]] = [(init, [0] * max(nc, 1), 1.0)]
-    for op in circuit.ops:
+    for op, cond in _fused(circuit.ops, n):
         if isinstance(op, MeasureOp):
             mask1 = (basis >> op.qubit) & 1 == 1
             outcomes = []
@@ -395,10 +436,9 @@ def run_circuit_exact(circuit: Circuit) -> dict[str, float]:
                 split.append((camps, cbits, prob * p_sel))
             branches = split
         else:
-            cond = op.classical_condition
             for amps, bits, _ in branches:
                 if cond is None or bits[cond[0]] == cond[1]:
-                    _apply_gate_kernel(amps.reshape(1, -1), op, n)
+                    _apply(amps, op, n)
     dist: dict[str, float] = {}
     for _, bits, prob in branches:
         key = _bits_to_key(bits, nc)

@@ -52,6 +52,34 @@ def marginal_probabilities(amps: np.ndarray, qubits) -> np.ndarray:
     return np.einsum(probs, list(range(n)), [n - 1 - q for q in reversed(qubits)]).reshape(-1)
 
 
+def outcome_law(circuit: Circuit) -> dict[str, float]:
+    """Exact law of the classical register by branch enumeration: a branch is
+    an unnormalised state and its classical bits, outcome b of a measurement
+    keeps diag(1 - b, b) of the state, and the probability of an outcome is
+    the squared norm of its branches."""
+    branches = [(zero_state(circuit.num_qubits), (0,) * circuit.num_clbits)]
+    for op in circuit.ops:
+        if isinstance(op, MeasureOp):
+            split = []
+            for amps, bits in branches:
+                for bit in (0, 1):
+                    kept = _on_qubit(np.diag([1.0 - bit, bit]), amps, op.qubit)
+                    if kept.any():
+                        split.append((kept, bits[: op.clbit] + (bit,) + bits[op.clbit + 1 :]))
+            branches = split
+        else:
+            cond = op.classical_condition
+            branches = [
+                (apply_gate(amps, op) if cond is None or bits[cond[0]] == cond[1] else amps, bits)
+                for amps, bits in branches
+            ]
+    law: dict[str, float] = {}
+    for amps, bits in branches:
+        key = "".join(str(b) for b in reversed(bits))
+        law[key] = law.get(key, 0.0) + float(np.vdot(amps, amps).real)
+    return law
+
+
 def sample_counts(circuit: Circuit, shots: int, rng: np.random.Generator) -> dict[str, int]:
     """Per-shot sampler: each shot runs the circuit on its own state and
     classical register, with one ``rng.random()`` draw per measurement."""

@@ -1,6 +1,8 @@
 """Perceptron node tests: labels, REW encoding, sign-flip synthesis, the
 input/weight circuit fragments, and the activation law."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from qffnn.neuron import (
     simulated_activation_probability,
     weight_transform_ops,
 )
-from qffnn.simulator import Circuit, cz, mcz, run_circuit, simulate_state, z
+from qffnn.simulator import Circuit, cz, h, mcz, run_circuit, simulate_state, z
 from reference import marginal_probabilities, rew_amplitudes, run_gates
 
 ATOL = 1e-12
@@ -51,8 +53,11 @@ def test_label_roundtrip(label):
 
 
 def test_vector_keeps_a_tuple_of_ints_and_converts_the_rest():
+    # the vector stores its label bitmask, not the tuple: at m = 4096 that is 32 KB
     entries = tuple([1, -1, -1, 1])
-    assert BinaryVector(entries).entries is entries
+    vec = BinaryVector(entries)
+    assert not any(isinstance(r, BinaryVector) for r in gc.get_referrers(entries))
+    assert vec.entries == entries and BinaryVector(vec.entries) == vec
     converted = BinaryVector((True, -1)).entries
     assert converted == (1, -1) and all(type(e) is int for e in converted)
     converted = BinaryVector(tuple(np.array([-1, 1]))).entries
@@ -63,6 +68,10 @@ def test_vector_keeps_a_tuple_of_ints_and_converts_the_rest():
 def test_vector_validation():
     with pytest.raises(ValueError):
         BinaryVector((1, 0, 1, 1))
+    with pytest.raises(ValueError, match="integers"):
+        BinaryVector((1.5, -1.9))
+    with pytest.raises(ValueError, match="integers"):
+        BinaryVector(["1", "-1"])
     with pytest.raises(ValueError):
         BinaryVector((1, -1, 1))
     with pytest.raises(ValueError):
@@ -170,6 +179,39 @@ def test_synthesis_exhaustive(num_qubits):
         assert len(gates) <= m - 1
         prepared = run_gates(gates, uniform_state(num_qubits))
         assert np.allclose(prepared, sign * rew_amplitudes(vec.entries), atol=ATOL)
+
+
+def hsgs_state(vec: BinaryVector) -> np.ndarray:
+    gates, sign = hypergraph_sign_synthesis(vec)
+    n = vec.num_qubits
+    return sign * simulate_state(Circuit(n).extend([h(q) for q in range(n)] + gates))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_folded_synthesis_gives_the_rew_state_of_every_vector(m):
+    for label in range(1 << m):
+        vec = BinaryVector.from_label(label, m)
+        assert np.abs(hsgs_state(vec) - rew_amplitudes(vec.entries)).max() <= ATOL
+
+
+@pytest.mark.parametrize("m", [16, 32, 64, 128, 256, 512, 1024, 2048, 4096])
+def test_folded_synthesis_gives_the_rew_state_of_random_vectors(m):
+    rng = np.random.default_rng(m)
+    for _ in range(3):
+        vec = BinaryVector(rng.choice((-1, 1), size=m))
+        assert np.abs(hsgs_state(vec) - rew_amplitudes(vec.entries)).max() <= ATOL
+
+
+def test_synthesis_emits_on_the_given_qubits():
+    vec = BinaryVector.from_label(0b0110_1001_1001_0110, 16)
+    local, sign = hypergraph_sign_synthesis(vec)
+    placed, placed_sign = hypergraph_sign_synthesis(vec, (5, 2, 7, 0))
+    assert placed_sign == sign and [g.kind for g in placed] == [g.kind for g in local]
+    assert [g.participants for g in placed] == [
+        tuple(sorted((5, 2, 7, 0)[q] for q in g.participants)) for g in local
+    ]
+    with pytest.raises(ValueError):
+        hypergraph_sign_synthesis(vec, (0, 1, 2))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qffnn.circuit_text import parse_circuit
 from qffnn.simulator import (
     MAX_BRANCHES,
     MAX_QUBITS,
@@ -29,7 +30,7 @@ from qffnn.simulator import (
     x,
     z,
 )
-from reference import marginal_probabilities, run_gates, sample_counts, zero_state
+from reference import marginal_probabilities, outcome_law, run_gates, sample_counts, zero_state
 
 ATOL = 1e-12
 
@@ -119,6 +120,25 @@ def test_qubit_cap_is_checked_before_allocating():
     assert peak < 1 << 20
     with pytest.raises(ValueError, match="num_qubits"):
         run_circuit_exact(Circuit(0))
+
+
+def test_clbit_cap_is_checked_before_allocating():
+    # a million classical bits would put a million-entry list in every branch
+    # and a million-character key on every outcome
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"num_clbits must be in 0..{MAX_QUBITS}"):
+            parse_circuit("qubits 1\nclbits 1000000\nH 0\nMEASURE 0 -> c0")
+        with pytest.raises(ValueError, match=f"num_clbits must be in 0..{MAX_QUBITS}"):
+            run_circuit_exact(Circuit(1, 10**6).append(h(0)).measure(0, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="num_clbits"):
+        simulate_state(Circuit(1, -1))
+    widest = Circuit(1, MAX_QUBITS).append(x(0)).measure(0, MAX_QUBITS - 1)
+    assert run_circuit_exact(widest) == {"1" + "0" * (MAX_QUBITS - 1): 1.0}
 
 
 @settings(max_examples=80, deadline=None)
@@ -340,6 +360,45 @@ def _alternating_h_measure(num_measurements: int) -> Circuit:
         circuit.append(h(0))
         circuit.measure(0, 0)
     return circuit
+
+
+@st.composite
+def conditioned_runs(draw) -> Circuit:
+    """Random 2-7 qubit circuits of long Z, CZ and MCZ runs, with H, X and MCX
+    between them, measurements inside runs and conditions that change in the
+    middle of a run."""
+    num_qubits, num_clbits = draw(st.integers(2, 7)), draw(st.integers(1, 3))
+    circuit = Circuit(num_qubits, num_clbits).extend([h(q) for q in range(num_qubits)])
+    written: list[int] = []
+    cond = None
+    for _ in range(draw(st.integers(1, 40))):
+        step = draw(st.integers(0, 9))
+        qubits = draw(st.permutations(range(num_qubits)))
+        if step == 0 and len(written) < 6:
+            clbit = draw(st.sampled_from(range(num_clbits)))
+            circuit.measure(qubits[0], clbit)
+            written.append(clbit)
+            continue
+        if step == 1 and written:
+            cond = draw(st.sampled_from([None] + [(c, v) for c in written for v in (0, 1)]))
+            continue
+        if step == 2:
+            gate = draw(st.sampled_from([h(qubits[0]), x(qubits[0]), mcx(qubits[1 : 1 + draw(st.integers(1, 2))], qubits[0])]))
+        else:
+            on = qubits[: draw(st.integers(1, num_qubits))]
+            gate = GateOp(("Z", "CZ", "MCZ")[min(len(on), 3) - 1], on)
+        circuit.append(gate if cond is None else gate.conditioned_on(*cond))
+    for clbit in range(num_clbits):
+        circuit.measure(draw(st.sampled_from(range(num_qubits))), clbit)
+    return circuit
+
+
+@settings(max_examples=200, deadline=None)
+@given(circuit=conditioned_runs())
+def test_run_circuit_exact_matches_the_branch_reference(circuit):
+    law, expected = run_circuit_exact(circuit), outcome_law(circuit)
+    for key in set(law) | set(expected):
+        assert abs(law.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12
 
 
 def test_run_circuit_exact_caps_branches():
