@@ -127,6 +127,8 @@ class ExperimentConfig:
             raise ValueError(f"format must be one of {FORMATS}")
         if self.evaluation == "sampled" and self.shots < 1:
             raise ValueError("sampled evaluation needs shots >= 1")
+        if not 0.0 <= self.threshold <= 1.0:  # also refuses NaN
+            raise ValueError(f"threshold must be a probability in [0, 1], not {self.threshold}")
         if self.noise is not None:
             ReadoutErrorModel(*self.noise)  # validates the rates
 

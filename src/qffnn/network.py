@@ -8,10 +8,11 @@ preparation of the next (bit 0 -> entry +1, bit 1 -> entry -1).  One forward
 pass carries the law of each layer's measured bit pattern to the next layer,
 simulating every node once per distinct fed-forward input.  Each layer costs
 up to 2**(width of the layer before) times 2**(its own width), and the costs
-add across layers instead of multiplying.  The exact output, the hidden-layer
-law and deep shot sampling all read this pass; two-layer networks of the
-combined-circuit class that fit in ``MAX_QUBITS`` qubits also run as one
-circuit with mid-circuit measurement.
+add across layers instead of multiplying.  ``hybrid_exact`` reads the output
+law of a network of any depth from this pass.  Sampling needs the combined
+circuit, one circuit with mid-circuit measurement: it covers two-layer
+networks whose single-qubit output node is fed once by every hidden node and
+that fit in ``MAX_QUBITS`` qubits, and ``sampled_counts`` draws from it.
 
 Coherent mode: the same network as one circuit without mid-circuit
 measurement.  It is derived from the combined hybrid circuit by the
@@ -19,9 +20,8 @@ deferred-measurement principle (``defer_measurements``): each classically
 conditioned phase flip of the output stage becomes a CZ from the hidden
 ancilla to the output qubit, and the output probability is read from the
 reduced density matrix of the qubit measured into classical bit 0.  Coherent
-mode therefore covers exactly the networks the combined circuit covers:
-two-layer networks whose single-qubit output node is fed once by every
-hidden node; deeper topologies run in hybrid mode only.
+mode therefore covers exactly the networks the combined circuit covers;
+other topologies run through ``hybrid_exact`` only.
 
 Classical bit layout of sampled circuits: bit 0 carries the network output,
 bits 1..l hold the hidden-node outcomes in layer order.
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -39,18 +38,19 @@ import numpy as np
 from .neuron import (
     BinaryVector,
     NeuronSpec,
-    activation_gate,
     node_ops,
     simulated_activation_probability,
     weight_transform_ops,
 )
 from .simulator import (
+    LAW_ATOL,
     MAX_QUBITS,
     Circuit,
     Counts,
     MeasureOp,
     defer_measurements,
     h,
+    mcx,
     reduced_density_matrix,
     run_circuit,
     simulate_state,
@@ -72,7 +72,8 @@ def _field(doc: object, key: str, kind: type, where: str, of_ints: bool = False)
     if key not in doc:
         raise ValueError(f"{where} has no field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind) or (of_ints and not all(isinstance(v, int) for v in value)):
+    # exact types: JSON true/false load as bool, a subclass of int
+    if type(value) is not kind or (of_ints and not all(type(v) is int for v in value)):
         of = " of integers" if of_ints else ""
         raise ValueError(f"field {key!r} of {where} must be {_JSON_TYPES[kind]}{of}")
     return value
@@ -197,12 +198,6 @@ class NetworkSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class HiddenOutcome:
-    bits: tuple[int, ...]
-    probability: float
-
-
-@dataclass(frozen=True, slots=True)
 class RunResult:
     input_label: int
     p_out: float
@@ -275,14 +270,16 @@ def _layer_laws(net: NetworkSpec, input_vec: BinaryVector) -> Iterator[np.ndarra
 
 
 def _clamp_probability(p: float) -> float:
-    if not -1e-9 <= p <= 1.0 + 1e-9:
+    # LAW_ATOL (run_circuit's slack on a law's sum), not ATOL (the bound two
+    # exact results agree to): this only has to catch non-probabilities
+    if not -LAW_ATOL <= p <= 1.0 + LAW_ATOL:
         raise ValueError(f"probability {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
 
 
-def _result(input_vec: BinaryVector, p: float, mode: str, shots: int | None, threshold: float) -> RunResult:
+def _result(input_vec: BinaryVector, p: float, mode: str, threshold: float) -> RunResult:
     p = _clamp_probability(p)
-    return RunResult(input_vec.label(), p, mode, shots, p > threshold)
+    return RunResult(input_vec.label(), p, mode, None, p > threshold)
 
 
 def hybrid_exact(
@@ -297,19 +294,7 @@ def hybrid_exact(
         raise UnsupportedTopology("feed-forward execution needs at least two layers")
     net.output_neuron  # validates single output node
     *_, law = _layer_laws(net, input_vec)
-    return _result(input_vec, float(law[1]), "hybrid", None, threshold)
-
-
-def hidden_outcome_distribution(net: NetworkSpec, input_vec: BinaryVector) -> list[HiddenOutcome]:
-    """Joint law of the first hidden layer's measured bits (the first law of
-    the forward pass), in lexicographic bit order."""
-    if len(net.layers) < 2:
-        raise UnsupportedTopology("no hidden layer")
-    law = next(_layer_laws(net, input_vec))
-    return [
-        HiddenOutcome(bits, float(law[sum(b << k for k, b in enumerate(bits))]))
-        for bits in product((0, 1), repeat=len(net.layers[0].neurons))
-    ]
+    return _result(input_vec, float(law[1]), "hybrid", threshold)
 
 
 def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
@@ -351,7 +336,7 @@ def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
         circuit.append(z(out_qubit).conditioned_on(k, 1))
     circuit.extend(weight_transform_ops(out.weight, out.encoding_qubits))
     if out.ancilla_qubit is not None:
-        circuit.append(activation_gate(out.encoding_qubits, out.ancilla_qubit))
+        circuit.append(mcx(out.encoding_qubits, out.ancilla_qubit))
         circuit.measure(out.ancilla_qubit, 0)
     else:
         circuit.measure(out_qubit, 0)
@@ -369,13 +354,6 @@ def coherent_measured_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circ
     return circuit
 
 
-def coherent_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
-    """Measurement-free coherent circuit: the gates of
-    ``coherent_measured_circuit``."""
-    circuit = coherent_measured_circuit(net, input_vec)
-    return Circuit(circuit.num_qubits, 0, circuit.ops[:-1])
-
-
 def coherent_exact(
     net: NetworkSpec,
     input_vec: BinaryVector,
@@ -387,31 +365,7 @@ def coherent_exact(
     circuit = coherent_measured_circuit(net, input_vec)
     *gates, readout = circuit.ops
     rho = reduced_density_matrix(simulate_state(Circuit(circuit.num_qubits, 0, gates)), readout.qubit)
-    return _result(input_vec, float(rho[1, 1].real), "coherent", None, threshold)
-
-
-def hybrid_sampled(
-    net: NetworkSpec,
-    input_vec: BinaryVector,
-    shots: int,
-    rng: np.random.Generator,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> RunResult:
-    """Shot-sampled hybrid run.  Two-layer networks run as the single combined
-    circuit with mid-circuit measurement and classical control.  For other
-    topologies, and for circuits wider than ``MAX_QUBITS``, the shots are
-    i.i.d. draws of the output bit, so their count is one binomial draw from
-    the exact output law of the forward pass."""
-    try:
-        circuit = build_hybrid_circuit(net, input_vec)
-    except UnsupportedTopology:
-        if len(net.layers) < 2:
-            raise
-        p = int(rng.binomial(shots, hybrid_exact(net, input_vec).p_out)) / shots
-    else:
-        counts = run_circuit(circuit, shots, rng)
-        p = counts.marginal_probability(0)
-    return _result(input_vec, p, "hybrid-sampled", shots, threshold)
+    return _result(input_vec, float(rho[1, 1].real), "coherent", threshold)
 
 
 def sampled_counts(

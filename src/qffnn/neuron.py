@@ -173,11 +173,6 @@ def weight_transform_ops(vec: BinaryVector, qubits: Sequence[int] | None = None)
     return gates + [h(q) for q in qubits] + [x(q) for q in qubits]
 
 
-def activation_gate(encoding_qubits: Sequence[int], ancilla: int) -> GateOp:
-    """Multi-controlled NOT routing the all-ones component onto the ancilla."""
-    return mcx(tuple(encoding_qubits), ancilla)
-
-
 def node_ops(input_vec: BinaryVector, spec: NeuronSpec) -> list[GateOp]:
     """Full gate sequence of one node: input preparation, weight transform,
     and (when an ancilla is assigned) the activation MCX."""
@@ -186,7 +181,7 @@ def node_ops(input_vec: BinaryVector, spec: NeuronSpec) -> list[GateOp]:
     ops = input_preparation_ops(input_vec, spec.encoding_qubits)
     ops += weight_transform_ops(spec.weight, spec.encoding_qubits)
     if spec.ancilla_qubit is not None:
-        ops.append(activation_gate(spec.encoding_qubits, spec.ancilla_qubit))
+        ops.append(mcx(spec.encoding_qubits, spec.ancilla_qubit))
     return ops
 
 

@@ -119,14 +119,6 @@ def z(qubit: int) -> GateOp:
     return GateOp("Z", (qubit,))
 
 
-def cz(a: int, b: int) -> GateOp:
-    return GateOp("CZ", (a, b))
-
-
-def mcz(*qubits: int) -> GateOp:
-    return GateOp("MCZ", tuple(qubits))
-
-
 def mcx(controls: Sequence[int], target: int) -> GateOp:
     return GateOp("MCX", (target,), tuple(controls))
 

@@ -7,15 +7,15 @@ import pytest
 from qffnn.circuit_text import format_circuit, format_op, parse_circuit
 from qffnn.network import build_hybrid_circuit, coherent_measured_circuit, line_recognition_network
 from qffnn.neuron import BinaryVector
-from qffnn.simulator import MAX_QUBITS, Circuit, MeasureOp, cz, h, mcx, mcz, run_circuit_exact, z
+from qffnn.simulator import MAX_QUBITS, Circuit, GateOp, MeasureOp, h, mcx, run_circuit_exact, z
 
 NET = line_recognition_network()
 
 
 def test_format_single_ops():
     assert format_op(h(3)) == "H 3"
-    assert format_op(cz(2, 6)) == "CZ 2 6"
-    assert format_op(mcz(2, 0, 1)) == "MCZ 0 1 2"
+    assert format_op(GateOp("CZ", (2, 6))) == "CZ 2 6"
+    assert format_op(GateOp("MCZ", (2, 0, 1))) == "MCZ 0 1 2"
     assert format_op(mcx((0, 1), 5)) == "MCX 5 0 1"
     assert format_op(z(6).conditioned_on(1, 1)) == "Z 6 if c1=1"
     assert format_op(MeasureOp(2, 1)) == "MEASURE 2 -> c1"

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output files, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -150,6 +151,21 @@ def test_dump_circuit_to_file(tmp_path):
     assert sum(1 for line in lines if line.startswith("MCX")) == 2
 
 
+# sha256 of the dump-circuit listings of the default network, hybrid labels
+# 0-15 then coherent labels 0-15, concatenated; the listings are integer-only
+# text, so the digest does not depend on the platform
+DUMP_CIRCUIT_SHA256 = "61501c75837a73287dd6776d533ab6630ed06e4810cefb9342ab7b4ddee49592"
+
+
+def test_dump_circuit_listings_keep_their_bytes(capsys):
+    digest = hashlib.sha256()
+    for mode in ("hybrid", "coherent"):
+        for n in range(16):
+            assert main(["dump-circuit", "--mode", mode, "--input", str(n)]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == DUMP_CIRCUIT_SHA256
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -157,6 +173,8 @@ def test_dump_circuit_to_file(tmp_path):
         ["neuron", "--eval", "sampled", "--shots", "0"],
         ["network", "--weights", "99,1"],
         ["dump-circuit", "--input", "99"],
+        ["network", "--threshold", "nan"],
+        ["network", "--threshold", "-3"],
     ],
 )
 def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):

@@ -11,18 +11,17 @@ from qffnn.network import (
     LayerSpec,
     NetworkSpec,
     UnsupportedTopology,
+    _clamp_probability,
     build_hybrid_circuit,
-    coherent_circuit,
     coherent_exact,
+    coherent_measured_circuit,
     feedforward_input,
-    hidden_outcome_distribution,
     hybrid_exact,
-    hybrid_sampled,
     line_recognition_network,
     sampled_counts,
 )
 from qffnn.neuron import BinaryVector, NeuronSpec, activation_probability, simulated_activation_probability
-from qffnn.simulator import GateOp, reduced_density_matrix, simulate_state
+from qffnn.simulator import LAW_ATOL, Circuit, GateOp, reduced_density_matrix, run_circuit_exact, simulate_state
 from reference import marginal_probabilities
 
 ATOL = 1e-12
@@ -50,26 +49,33 @@ def test_feedforward_input_table(bits, expected):
 # hidden layer law
 
 
+def hidden_law(n: int) -> dict[tuple[int, int], float]:
+    """Law of the hidden bits (clbits 1 and 2, keyed in node order) of the
+    combined circuit on input n; outcomes of probability 0 are absent."""
+    table: dict[tuple[int, int], float] = {}
+    for key, p in run_circuit_exact(build_hybrid_circuit(NET, label(n))).items():
+        bits = (int(key[-2]), int(key[-3]))
+        table[bits] = table.get(bits, 0.0) + p
+    return table
+
+
 def test_hidden_distribution_concentrates_for_deterministic_nodes():
-    dist = hidden_outcome_distribution(NET, label(12))
-    table = {o.bits: o.probability for o in dist}
-    assert abs(table[(1, 0)] - 1.0) < ATOL
+    table = hidden_law(12)
+    assert abs(table.get((1, 0), 0.0) - 1.0) < ATOL
     assert all(abs(p) < ATOL for bits, p in table.items() if bits != (1, 0))
 
 
 def test_hidden_distribution_of_label_1():
-    dist = hidden_outcome_distribution(NET, label(1))
-    table = {o.bits: o.probability for o in dist}
-    assert abs(table[(0, 0)] - 0.5625) < ATOL
-    assert abs(table[(0, 1)] - 0.1875) < ATOL
-    assert abs(table[(1, 0)] - 0.1875) < ATOL
-    assert abs(table[(1, 1)] - 0.0625) < ATOL
+    table = hidden_law(1)
+    assert abs(table.get((0, 0), 0.0) - 0.5625) < ATOL
+    assert abs(table.get((0, 1), 0.0) - 0.1875) < ATOL
+    assert abs(table.get((1, 0), 0.0) - 0.1875) < ATOL
+    assert abs(table.get((1, 1), 0.0) - 0.0625) < ATOL
 
 
 def test_hidden_distribution_normalized_for_every_input():
     for n in range(16):
-        total = sum(o.probability for o in hidden_outcome_distribution(NET, label(n)))
-        assert abs(total - 1.0) < ATOL
+        assert abs(sum(hidden_law(n).values()) - 1.0) < ATOL
 
 
 # ---------------------------------------------------------------------------
@@ -154,16 +160,24 @@ def test_separation_margin():
 # coherent circuit structure
 
 
+def coherent_state(n: int) -> np.ndarray:
+    """Amplitudes after the gates of the coherent circuit on input n, that is
+    before its one (final) measurement."""
+    circuit = coherent_measured_circuit(NET, label(n))
+    return simulate_state(Circuit(circuit.num_qubits, 0, circuit.ops[:-1]))
+
+
 def test_coherent_circuit_structure():
-    circuit = coherent_circuit(NET, label(0))
+    circuit = coherent_measured_circuit(NET, label(0))
     assert circuit.num_qubits == 7
-    kinds = [op.kind for op in circuit.ops]
+    gates = circuit.ops[:-1]
+    kinds = [op.kind for op in gates]
     assert kinds.count("MCX") == 2
-    cz_ops = [op for op in circuit.ops if op.kind == "CZ"]
+    cz_ops = [op for op in gates if op.kind == "CZ"]
     synapse_cz = [op for op in cz_ops if 6 in op.targets]
     assert len(synapse_cz) == 2
     assert {op.targets for op in synapse_cz} == {(2, 6), (5, 6)}
-    assert not any(isinstance(op, GateOp) and op.classical_condition for op in circuit.ops)
+    assert not any(isinstance(op, GateOp) and op.classical_condition for op in gates)
 
 
 def test_coherent_circuit_op_count_bound():
@@ -172,19 +186,19 @@ def test_coherent_circuit_op_count_bound():
         from qffnn.neuron import node_ops
 
         hidden_ops += len(node_ops(label(0), spec))
-    circuit = coherent_circuit(NET, label(0))
-    assert len(circuit.ops) <= hidden_ops + 1 + 2 + 1  # H, two CZ, output weight (one H)
+    gates = coherent_measured_circuit(NET, label(0)).ops[:-1]
+    assert len(gates) <= hidden_ops + 1 + 2 + 1  # H, two CZ, output weight (one H)
 
 
 def test_coherent_state_branch_weights_for_deterministic_input():
     # input 12 drives node 1 to certain activation and node 2 to certain rest
-    state = simulate_state(coherent_circuit(NET, label(12)))
+    state = coherent_state(12)
     assert abs(marginal_probabilities(state, [2])[1] - 1.0) < ATOL
     assert abs(marginal_probabilities(state, [5])[1] - 0.0) < ATOL
 
 
 def test_output_density_matrix_for_label_8():
-    state = simulate_state(coherent_circuit(NET, label(8)))
+    state = coherent_state(8)
     rho = reduced_density_matrix(state, 6)
     assert abs(rho[0, 0].real - 0.625) < ATOL
     assert abs(rho[1, 1].real - 0.375) < ATOL
@@ -193,7 +207,7 @@ def test_output_density_matrix_for_label_8():
 
 def test_output_density_matrix_is_diagonal_for_every_input():
     for n in range(16):
-        rho = reduced_density_matrix(simulate_state(coherent_circuit(NET, label(n))), 6)
+        rho = reduced_density_matrix(coherent_state(n), 6)
         assert abs(rho[0, 1]) < ATOL
 
 
@@ -206,10 +220,9 @@ def test_hybrid_sampled_tracks_exact_values():
     shots = 10_000
     for n in (12, 6, 13):
         exact = hybrid_exact(NET, label(n)).p_out
-        result = hybrid_sampled(NET, label(n), shots, rng)
+        p = sampled_counts(NET, label(n), "hybrid", shots, rng).marginal_probability(0)
         sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
-        assert abs(result.p_out - exact) <= 5 * sigma + 1e-9
-        assert result.mode == "hybrid-sampled" and result.shots == shots
+        assert abs(p - exact) <= 5 * sigma + 1e-9
 
 
 def test_coherent_sampled_tracks_exact_values():
@@ -289,30 +302,6 @@ def test_deep_network_exact_matches_brute_force():
             assert abs(hybrid_exact(net, label(n)).p_out - brute_force_output_law(net, label(n))) < ATOL
 
 
-def test_deep_network_sampled_tracks_exact():
-    net = deep_network()
-    rng = np.random.default_rng(7)
-    shots = 20_000
-    for n in (12, 1):
-        exact = hybrid_exact(net, label(n)).p_out
-        result = hybrid_sampled(net, label(n), shots, rng)
-        sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
-        assert abs(result.p_out - exact) <= 5 * sigma + 1e-9
-
-
-def test_deep_network_sampled_tracks_brute_force():
-    # deep sampling draws from the forward pass; check it against the
-    # enumeration oracle, which shares no code with that pass
-    rng = np.random.default_rng(2019)
-    shots = 20_000
-    for net, n in product((deep_network(), quarter_activation_network()), range(16)):
-        exact = brute_force_output_law(net, label(n))
-        result = hybrid_sampled(net, label(n), shots, rng)
-        sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
-        assert abs(result.p_out - exact) <= 5 * sigma + 1e-9
-        assert result.mode == "hybrid-sampled" and result.shots == shots
-
-
 def test_forward_pass_simulates_each_distinct_node_input_once(monkeypatch):
     import qffnn.network as network_module
 
@@ -343,7 +332,7 @@ def wide_hidden_nodes_network() -> NetworkSpec:
     return NetworkSpec((hidden, out), (((0, 1),),))
 
 
-def test_combined_circuit_past_the_qubit_cap_falls_back_to_the_forward_pass():
+def test_network_past_the_qubit_cap_runs_only_through_the_forward_pass():
     net, vec = wide_hidden_nodes_network(), label(0x0F0F00FF, 32)
     with pytest.raises(UnsupportedTopology, match="13 qubits"):
         build_hybrid_circuit(net, vec)
@@ -351,16 +340,13 @@ def test_combined_circuit_past_the_qubit_cap_falls_back_to_the_forward_pass():
         sampled_counts(net, vec, "hybrid", 100, np.random.default_rng(0))
     exact = brute_force_output_law(net, vec)
     assert 0.0 < exact < 1.0 and abs(hybrid_exact(net, vec).p_out - exact) < ATOL
-    shots = 20_000
-    result = hybrid_sampled(net, vec, shots, np.random.default_rng(13))
-    assert abs(result.p_out - exact) <= 5 * np.sqrt(exact * (1 - exact) / shots) + 1e-9
 
 
 def test_coherent_mode_rejects_deep_networks():
     with pytest.raises(UnsupportedTopology):
         coherent_exact(deep_network(), label(0))
     with pytest.raises(UnsupportedTopology):
-        coherent_circuit(deep_network(), label(0))
+        coherent_measured_circuit(deep_network(), label(0))
 
 
 def test_build_hybrid_circuit_rejects_single_layer():
@@ -403,6 +389,17 @@ def test_classify_uses_strict_threshold():
     assert hybrid_exact(NET, label(13), threshold=0.3).classified_positive is True
 
 
+@pytest.mark.parametrize("p,clamped", [(-LAW_ATOL / 2, 0.0), (1 + LAW_ATOL / 2, 1.0), (0.375, 0.375)])
+def test_probability_clamp_absorbs_rounding_within_law_atol(p, clamped):
+    assert _clamp_probability(p) == clamped
+
+
+@pytest.mark.parametrize("p", [1 + 2 * LAW_ATOL, -2 * LAW_ATOL, math.nan])
+def test_probability_clamp_rejects_values_past_law_atol(p):
+    with pytest.raises(ValueError, match="outside"):
+        _clamp_probability(p)
+
+
 def test_run_result_consistency():
     result = hybrid_exact(NET, label(12), threshold=0.5)
     assert result.classified_positive is (result.p_out > 0.5)
@@ -440,4 +437,23 @@ def test_network_spec_json_caps_qubits_before_building_the_weight():
     doc = NET.to_json_dict()
     doc["layers"][0]["neurons"][1].update(qubits=list(range(40)), ancilla=40)
     with pytest.raises(ValueError, match="neuron 1 of layer 0 lists 40 qubits, more than MAX_QUBITS=12"):
+        NetworkSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "field,edit",
+    [
+        ("weight_label", lambda doc: doc["layers"][0]["neurons"][0].update(weight_label=True)),
+        ("qubits", lambda doc: doc["layers"][0]["neurons"][0].update(qubits=[False, True])),
+        ("ancilla", lambda doc: doc["layers"][0]["neurons"][0].update(ancilla=True)),
+        ("weight_entries", lambda doc: doc["layers"][1]["neurons"][0].update(weight_entries=[True, -1])),
+        ("0", lambda doc: doc["synapses"][0].update({"0": [False, True]})),
+    ],
+    ids=["weight_label", "qubits", "ancilla", "weight_entries", "synapse_feeders"],
+)
+def test_network_spec_json_refuses_booleans_as_integers(field, edit):
+    # bool subclasses int in Python, so JSON true/false must be refused by name
+    doc = NET.to_json_dict()
+    edit(doc)
+    with pytest.raises(ValueError, match=f"field '{field}' of .* must be"):
         NetworkSpec.from_json_dict(doc)

@@ -19,7 +19,7 @@ from qffnn.neuron import (
     simulated_activation_probability,
     weight_transform_ops,
 )
-from qffnn.simulator import Circuit, cz, h, mcz, run_circuit, simulate_state, z
+from qffnn.simulator import Circuit, GateOp, h, run_circuit, simulate_state, z
 from reference import marginal_probabilities, rew_amplitudes, run_gates
 
 ATOL = 1e-12
@@ -143,10 +143,8 @@ def greedy_sign_synthesis(vec: BinaryVector) -> tuple[list, int]:
         qubits = tuple(k for k in range(vec.num_qubits) if (j >> k) & 1)
         if len(qubits) == 1:
             gates.append(z(qubits[0]))
-        elif len(qubits) == 2:
-            gates.append(cz(*qubits))
         else:
-            gates.append(mcz(*qubits))
+            gates.append(GateOp("CZ" if len(qubits) == 2 else "MCZ", qubits))
         for idx in range(m):
             if idx & j == j:
                 current[idx] = -current[idx]

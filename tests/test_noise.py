@@ -164,3 +164,11 @@ def test_network_counts_noise_shifts_unmitigated_estimate():
     from qffnn.network import output_probability_from_vector
 
     assert output_probability_from_vector(corrected) < 0.02
+
+
+def test_zero_width_counts_pass_through_the_channel_unchanged():
+    # a circuit without measurements gives "" keys: no bit to flip
+    counts = Counts({"": 5}, 5)
+    rng = np.random.default_rng(0)
+    assert noisy_counts(counts, ReadoutErrorModel(0.05, 0.03), rng) == Counts({"": 5}, 5)
+    assert counts.probability_vector(0).tolist() == [1.0]

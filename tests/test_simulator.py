@@ -18,11 +18,9 @@ from qffnn.simulator import (
     Counts,
     GateOp,
     MeasureOp,
-    cz,
     defer_measurements,
     h,
     mcx,
-    mcz,
     reduced_density_matrix,
     run_circuit,
     run_circuit_exact,
@@ -44,10 +42,10 @@ def random_gate(num_qubits: int, rng: np.random.Generator) -> GateOp:
     kind = rng.choice(["H", "X", "Z", "CZ", "MCZ", "MCX"])
     if kind == "CZ" and num_qubits >= 2:
         a, b = rng.choice(num_qubits, size=2, replace=False)
-        return cz(int(a), int(b))
+        return GateOp("CZ", (int(a), int(b)))
     if kind == "MCZ" and num_qubits >= 3:
         qs = rng.choice(num_qubits, size=3, replace=False)
-        return mcz(*map(int, qs))
+        return GateOp("MCZ", tuple(map(int, qs)))
     if kind == "MCX" and num_qubits >= 2:
         k = int(rng.integers(1, num_qubits))
         qs = rng.choice(num_qubits, size=k + 1, replace=False)
@@ -73,7 +71,7 @@ def test_h_on_zero_gives_plus():
 
 
 def test_cz_flips_only_the_all_ones_component():
-    amps = simulate_state(Circuit(2).append(h(0), h(1), cz(0, 1)))
+    amps = simulate_state(Circuit(2).append(h(0), h(1), GateOp("CZ", (0, 1))))
     assert np.allclose(amps, [0.5, 0.5, 0.5, -0.5], atol=ATOL)
 
 
@@ -93,7 +91,7 @@ def test_apply_gate_rejects_out_of_range_and_duplicates():
     with pytest.raises(ValueError, match="qubit 5 out of range"):
         simulate_state(Circuit(2).append(h(5)))
     with pytest.raises(ValueError):
-        cz(1, 1)
+        GateOp("CZ", (1, 1))
     with pytest.raises(ValueError):
         mcx((0, 0), 1)
 
@@ -155,7 +153,7 @@ def test_norm_preserved_by_every_gate(seed, num_qubits):
 def test_involution_gates_square_to_identity(seed):
     prefix = random_unitary_circuit(4, np.random.default_rng(seed))
     amps = simulate_state(prefix)
-    for gate in (x(2), z(1), cz(0, 3), mcz(0, 1, 2), h(3), mcx((1, 3), 0)):
+    for gate in (x(2), z(1), GateOp("CZ", (0, 3)), GateOp("MCZ", (0, 1, 2)), h(3), mcx((1, 3), 0)):
         twice = simulate_state(Circuit(4, 0, prefix.ops + [gate, gate]))
         assert np.allclose(twice, amps, atol=ATOL)
 
@@ -168,8 +166,8 @@ def unitary_circuits(max_qubits: int) -> st.SearchStrategy:
         gate = qubits.flatmap(
             lambda qs: st.sampled_from(
                 [h(qs[0]), x(qs[0]), z(qs[0])]
-                + ([cz(qs[0], qs[1]), mcx(qs[1:2], qs[0]), mcx(qs[1:], qs[0])] if n >= 2 else [])
-                + ([mcz(*qs[:3]), mcz(*qs)] if n >= 3 else [])
+                + ([GateOp("CZ", qs[:2]), mcx(qs[1:2], qs[0]), mcx(qs[1:], qs[0])] if n >= 2 else [])
+                + ([GateOp("MCZ", qs[:3]), GateOp("MCZ", qs)] if n >= 3 else [])
             )
         )
         return st.lists(gate, max_size=24).map(lambda ops: Circuit(n, 0, ops))
@@ -454,7 +452,7 @@ def test_deferred_measurement_identity(seed):
     deferred = Circuit(num_qubits, num_qubits)
     deferred.extend(prefix)
     if conditioned_kind == "Z":
-        deferred.append(cz(measured, target))
+        deferred.append(GateOp("CZ", (measured, target)))
     else:
         deferred.append(mcx((measured,), target))
     deferred.extend(suffix)
@@ -491,7 +489,7 @@ def deferrable_circuits(draw) -> Circuit:
         kind = draw(st.sampled_from(kinds))
         qubits = draw(st.permutations(live))
         if kind == "CZ":
-            gate = cz(qubits[0], qubits[1])
+            gate = GateOp("CZ", (qubits[0], qubits[1]))
         elif kind == "MCX":
             gate = mcx(qubits[1 : 1 + draw(st.integers(1, len(live) - 1))], qubits[0])
         else:
@@ -526,9 +524,9 @@ def test_deferring_measurements_keeps_the_outcome_law(circuit):
 
 def test_defer_measurements_controls_on_the_measured_qubit():
     circuit = Circuit(3, 1).append(h(0)).measure(0, 0)
-    circuit.append(z(1).conditioned_on(0, 1), cz(1, 2).conditioned_on(0, 0), x(2).conditioned_on(0, 1))
+    circuit.append(z(1).conditioned_on(0, 1), GateOp("CZ", (1, 2)).conditioned_on(0, 0), x(2).conditioned_on(0, 1))
     deferred = defer_measurements(circuit)
-    assert deferred.ops == [h(0), cz(0, 1), x(0), mcz(0, 1, 2), x(0), mcx((0,), 2), MeasureOp(0, 0)]
+    assert deferred.ops == [h(0), GateOp("CZ", (0, 1)), x(0), GateOp("MCZ", (0, 1, 2)), x(0), mcx((0,), 2), MeasureOp(0, 0)]
 
 
 def test_defer_measurements_rejects_conditioned_hadamard():
@@ -538,7 +536,7 @@ def test_defer_measurements_rejects_conditioned_hadamard():
 
 
 def test_defer_measurements_rejects_gates_on_measured_qubits():
-    circuit = Circuit(2, 1).append(h(0)).measure(0, 0).append(cz(0, 1))
+    circuit = Circuit(2, 1).append(h(0)).measure(0, 0).append(GateOp("CZ", (0, 1)))
     with pytest.raises(ValueError, match="qubit 0 after it is measured"):
         defer_measurements(circuit)
 
