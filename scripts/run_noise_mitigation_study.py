@@ -27,13 +27,12 @@ from qffnn.network import (
     sampled_counts,
 )
 from qffnn.neuron import BinaryVector
-from qffnn.noise import ReadoutErrorModel, build_calibration, mitigate, noisy_counts
+from qffnn.noise import ReadoutErrorModel, mitigate, noisy_counts
 
 
 def worst_deviations(p01: float, p10: float, shots: int, seed: int) -> dict:
     net = line_recognition_network()
     model = ReadoutErrorModel(p01, p10)
-    cal = build_calibration(model, 3)
     raw_worst = mitigated_worst = 0.0
     for label in range(16):
         vec = BinaryVector.from_label(label, 4)
@@ -41,7 +40,7 @@ def worst_deviations(p01: float, p10: float, shots: int, seed: int) -> dict:
         rng = np.random.default_rng([seed, label])
         counts = noisy_counts(sampled_counts(net, vec, "hybrid", shots, rng), model, rng)
         raw_worst = max(raw_worst, abs(counts.marginal_probability(0) - exact))
-        corrected = output_probability_from_vector(mitigate(counts, cal))
+        corrected = output_probability_from_vector(mitigate(counts, model))
         mitigated_worst = max(mitigated_worst, abs(corrected - exact))
     return {
         "p01": p01,

@@ -31,7 +31,7 @@ from .network import (
     sampled_counts,
 )
 from .neuron import BinaryVector, neuron_circuit, simulated_activation_probability
-from .noise import ReadoutErrorModel, build_calibration, mitigate, noisy_counts
+from .noise import ReadoutErrorModel, mitigate, noisy_counts
 from .simulator import Counts, run_circuit
 
 MODES = ("hybrid", "coherent", "both")
@@ -104,6 +104,16 @@ def parse_weights_option(option: str | None) -> tuple[BinaryVector, BinaryVector
     return w1, w2, w3
 
 
+def _check_readout(evaluation: str, noise: tuple[float, float] | None, apply_mitigation: bool) -> None:
+    """Refuse readout options a run would ignore: noise needs sampling, mitigation needs noise."""
+    if noise is not None:
+        if evaluation != "sampled":
+            raise ValueError("readout noise needs sampled evaluation")
+        ReadoutErrorModel(*noise)  # validates the rates
+    elif apply_mitigation:
+        raise ValueError("mitigation needs readout noise")
+
+
 @dataclass
 class ExperimentConfig:
     mode: str = "both"
@@ -129,8 +139,7 @@ class ExperimentConfig:
             raise ValueError("sampled evaluation needs shots >= 1")
         if not 0.0 <= self.threshold <= 1.0:  # also refuses NaN
             raise ValueError(f"threshold must be a probability in [0, 1], not {self.threshold}")
-        if self.noise is not None:
-            ReadoutErrorModel(*self.noise)  # validates the rates
+        _check_readout(self.evaluation, self.noise, self.mitigate)
 
     @property
     def modes(self) -> tuple[str, ...]:
@@ -166,8 +175,7 @@ def _estimate_sampled(
         model = ReadoutErrorModel(*noise)
         counts = noisy_counts(counts, model, rng)
         if apply_mitigation:
-            corrected = mitigate(counts, build_calibration(model, counts.num_clbits()))
-            return output_probability_from_vector(corrected), dict(counts.counts)
+            return output_probability_from_vector(mitigate(counts, model)), dict(counts.counts)
     return counts.marginal_probability(0), dict(counts.counts)
 
 
@@ -268,6 +276,7 @@ def run_neuron_experiment(
     apply_mitigation: bool = False,
 ) -> dict:
     """Single-node activation report; sampled mode also returns shot counts."""
+    _check_readout(evaluation, noise, apply_mitigation)
     report: dict = {
         "input_label": input_vec.label(),
         "weight_label": weight.label(),

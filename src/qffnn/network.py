@@ -178,7 +178,10 @@ class NetworkSpec:
                 ancilla = nd.get("ancilla")
                 if ancilla is not None:
                     _field(nd, "ancilla", int, where)
-                neurons.append(NeuronSpec(weight, qubits, ancilla))
+                try:
+                    neurons.append(NeuronSpec(weight, qubits, ancilla))
+                except ValueError as exc:
+                    raise ValueError(f"{where}: {exc}") from None
             layers.append(LayerSpec(tuple(neurons)))
         synapses = []
         for i, layer_map in enumerate(_field(doc, "synapses", list, "network") if "synapses" in doc else []):

@@ -105,6 +105,10 @@ class NeuronSpec:
             raise ValueError("encoding register size does not match weight length")
         if len(set(qubits)) != len(qubits):
             raise ValueError("duplicate encoding qubit")
+        if any(q < 0 for q in qubits):
+            raise ValueError(f"negative encoding qubit in {qubits}")
+        if self.ancilla_qubit is not None and self.ancilla_qubit < 0:
+            raise ValueError(f"negative ancilla qubit {self.ancilla_qubit}")
         if self.ancilla_qubit is not None and self.ancilla_qubit in qubits:
             raise ValueError("ancilla must be distinct from encoding qubits")
 

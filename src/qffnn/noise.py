@@ -1,11 +1,13 @@
-"""Synthetic readout errors and calibration-matrix mitigation.
+"""Synthetic readout errors and their mitigation by calibration inversion.
 
 The error channel flips each recorded classical bit independently: a true 0
 is read as 1 with probability p01, a true 1 as 0 with probability p10.  The
 flips corrupt only what is recorded; classically controlled gates keep acting
-on the true measurement outcomes, so the observed distribution is exactly the
-calibration matrix applied to the ideal one and linear inversion undoes it in
-the many-shot limit.  Negative entries of the inverted vector (pure sampling
+on the true measurement outcomes, so over b bits the observed distribution is
+the b-fold tensor power of the single-bit confusion matrix applied to the
+ideal one.  ``mitigate(counts, model)`` takes b from the counts, builds that
+matrix and solves for the ideal distribution, which linear inversion recovers
+in the many-shot limit.  Negative entries of the solution (pure sampling
 noise) are clipped and the vector renormalized.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .simulator import ATOL, Counts
+from .simulator import Counts
 
 MAX_CALIBRATION_BITS = 8
 
@@ -32,40 +34,21 @@ class ReadoutErrorModel:
 
     def confusion_matrix(self) -> np.ndarray:
         """2x2 column-stochastic matrix: entry (read, true)."""
-        return np.array(
-            [
-                [1.0 - self.p01, self.p10],
-                [self.p01, 1.0 - self.p10],
-            ]
-        )
+        return np.array([[1.0 - self.p01, self.p10], [self.p01, 1.0 - self.p10]])
 
 
-@dataclass
-class CalibrationMatrix:
-    """Column-stochastic 2**b x 2**b matrix of readout confusion probabilities;
-    entry (j, k) is the probability of reading bit pattern j given true k."""
-
-    matrix: np.ndarray
-    num_bits: int
-
-    def __post_init__(self) -> None:
-        dim = 1 << self.num_bits
-        if self.matrix.shape != (dim, dim):
-            raise ValueError("calibration matrix shape does not match num_bits")
-        if np.abs(self.matrix.sum(axis=0) - 1.0).max() > ATOL:
-            raise ValueError("calibration matrix columns must sum to 1")
-
-
-def build_calibration(model: ReadoutErrorModel, num_bits: int) -> CalibrationMatrix:
-    """Tensor power of the single-bit confusion matrix.  Dense, so capped at
-    8 bits; the experiments here need at most 3."""
+def build_calibration(model: ReadoutErrorModel, num_bits: int) -> np.ndarray:
+    """Column-stochastic 2**b x 2**b matrix of the channel on b = ``num_bits``
+    bits, entry (read, true): the tensor power of the single-bit confusion
+    matrix.  Dense, so b is capped before allocation; the experiments here
+    need at most 3."""
     if not 1 <= num_bits <= MAX_CALIBRATION_BITS:
         raise ValueError(f"num_bits must be in 1..{MAX_CALIBRATION_BITS}")
     single = model.confusion_matrix()
     matrix = single
     for _ in range(num_bits - 1):
         matrix = np.kron(matrix, single)
-    return CalibrationMatrix(matrix, num_bits)
+    return matrix
 
 
 def noisy_counts(counts: Counts, model: ReadoutErrorModel, rng: np.random.Generator) -> Counts:
@@ -75,7 +58,7 @@ def noisy_counts(counts: Counts, model: ReadoutErrorModel, rng: np.random.Genera
     num_bits = counts.num_clbits()
     if num_bits == 0:
         return counts
-    cal = build_calibration(model, num_bits).matrix
+    cal = build_calibration(model, num_bits)
     noisy: dict[str, int] = {}
     for key, cnt in sorted(counts.counts.items()):
         drawn = rng.multinomial(cnt, cal[:, int(key, 2)])
@@ -86,21 +69,20 @@ def noisy_counts(counts: Counts, model: ReadoutErrorModel, rng: np.random.Genera
     return Counts(noisy, counts.total_shots)
 
 
-def mitigate(counts: Counts, cal: CalibrationMatrix) -> np.ndarray:
-    """Invert the calibration on empirical frequencies.
+def mitigate(counts: Counts, model: ReadoutErrorModel) -> np.ndarray:
+    """Invert the readout channel on the empirical frequencies of ``counts``.
 
-    Returns a probability vector over all 2**b bit patterns, indexed by the
-    integer value of the pattern (classical bit 0 least significant).
+    Returns a probability vector over all 2**b bit patterns of the counts'
+    width b, indexed by the integer value of the pattern (classical bit 0
+    least significant).
     """
     num_bits = counts.num_clbits()
-    if num_bits and num_bits != cal.num_bits:
-        raise ValueError("counts bit width does not match calibration matrix")
-    freq = counts.probability_vector(cal.num_bits)
-    # the determinant of a well-conditioned 2**b matrix can underflow to 0
-    cond = np.linalg.cond(cal.matrix)
+    # exact for a tensor power, and unlike the determinant of a
+    # well-conditioned 2**b matrix it does not underflow to 0
+    cond = np.linalg.cond(model.confusion_matrix()) ** num_bits
     if not cond < 1.0 / np.finfo(float).eps:
         raise ValueError(f"calibration matrix is singular to working precision (condition number {cond:.3g})")
-    solved = np.linalg.solve(cal.matrix, freq)
+    solved = np.linalg.solve(build_calibration(model, num_bits), counts.probability_vector())
     clipped = np.clip(solved, 0.0, None)
     total = clipped.sum()
     if total <= 0.0:

@@ -239,10 +239,10 @@ class Counts:
     def num_clbits(self) -> int:
         return len(next(iter(self.counts))) if self.counts else 0
 
-    def probability_vector(self, num_bits: int) -> np.ndarray:
-        """Empirical distribution over all 2**num_bits outcomes, indexed by the
-        integer value of the bitstring (clbit 0 = least significant)."""
-        vec = np.zeros(1 << num_bits)
+    def probability_vector(self) -> np.ndarray:
+        """Empirical distribution over all 2**num_clbits() outcomes, indexed by
+        the integer value of the bitstring (clbit 0 = least significant)."""
+        vec = np.zeros(1 << self.num_clbits())
         for key, cnt in self.counts.items():
             vec[int(key, 2) if key else 0] += cnt
         return vec / self.total_shots

@@ -28,7 +28,7 @@ from qffnn.neuron import (
     simulated_activation_probability,
     weight_transform_ops,
 )
-from qffnn.noise import ReadoutErrorModel, build_calibration, mitigate, noisy_counts
+from qffnn.noise import ReadoutErrorModel, mitigate, noisy_counts
 from qffnn.simulator import run_circuit
 from reference import rew_amplitudes, run_gates
 
@@ -173,13 +173,12 @@ def test_criterion_09_sampled_statistics_and_verdicts():
 def test_criterion_10_noise_mitigation_round_trip():
     shots = 100_000
     model = ReadoutErrorModel(0.05, 0.03)
-    cal = build_calibration(model, 3)
     for label in range(16):
         vec = BinaryVector.from_label(label, 4)
         exact = hybrid_exact(NET, vec).p_out
         rng = np.random.default_rng([1618, label])
         counts = noisy_counts(sampled_counts(NET, vec, "hybrid", shots, rng), model, rng)
-        mitigated = output_probability_from_vector(mitigate(counts, cal))
+        mitigated = output_probability_from_vector(mitigate(counts, model))
         assert abs(mitigated - exact) < 0.02, (label, mitigated, exact)
         assert (mitigated > 0.5) == (label in TARGETS), label
 

@@ -3,6 +3,8 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qffnn.circuit_text import format_circuit, format_op, parse_circuit
 from qffnn.network import build_hybrid_circuit, coherent_measured_circuit, line_recognition_network
@@ -96,3 +98,19 @@ def test_parse_condition_round_trip():
     circuit.append(z(1).conditioned_on(0, 0))
     parsed = parse_circuit(format_circuit(circuit))
     assert parsed.ops == circuit.ops
+
+
+TOKENS = ["qubits", "clbits", "H", "X", "Z", "CZ", "MCZ", "MCX", "MEASURE", "->", "if", "#"]
+TOKENS += ["c0", "c1", "c0=1", "c1=0", "c=1", "c0=", "cx", "0", "1", "2", "3", "13", "-1", "x", "\u0661"]
+LISTINGS = st.lists(
+    st.lists(st.sampled_from(TOKENS) | st.text(max_size=4), max_size=6).map(" ".join), max_size=8
+).map("\n".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LISTINGS | LISTINGS.map(lambda text: "qubits 3\nclbits 2\n" + text))
+def test_parse_accepts_or_raises_value_error_on_token_soup(text):
+    try:
+        parse_circuit(text)
+    except ValueError:
+        pass

@@ -175,6 +175,11 @@ def test_dump_circuit_listings_keep_their_bytes(capsys):
         ["dump-circuit", "--input", "99"],
         ["network", "--threshold", "nan"],
         ["network", "--threshold", "-3"],
+        # readout options the run would ignore
+        ["network", "--eval", "exact", "--noise", "0.05,0.03", "--mitigate"],
+        ["network", "--eval", "sampled", "--mitigate"],
+        ["neuron", "--input", "13", "--weight", "12", "--noise", "0.05,0.03", "--mitigate"],
+        ["neuron", "--input", "13", "--weight", "12", "--eval", "sampled", "--mitigate"],
     ],
 )
 def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qffnn.network import (
     LayerSpec,
@@ -457,3 +459,56 @@ def test_network_spec_json_refuses_booleans_as_integers(field, edit):
     edit(doc)
     with pytest.raises(ValueError, match=f"field '{field}' of .* must be"):
         NetworkSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (dict(qubits=[-1, 0]), r"neuron 0 of layer 0: negative encoding qubit in \(-1, 0\)"),
+        (dict(ancilla=-4), "neuron 0 of layer 0: negative ancilla qubit -4"),
+    ],
+    ids=["qubits", "ancilla"],
+)
+def test_network_spec_json_refuses_negative_qubits_naming_the_neuron(edit, message):
+    doc = NET.to_json_dict()
+    doc["layers"][0]["neurons"][0].update(edit)
+    with pytest.raises(ValueError, match=message):
+        NetworkSpec.from_json_dict(doc)
+
+
+# JSON-like values whose dict keys are mostly the document's own field names,
+# so that random documents reach the nested fields
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["layers", "neurons", "synapses", "qubits", "ancilla", "weight_label", "weight_entries", "0", "1"])
+        | st.text(max_size=3),
+        children,
+        max_size=4,
+    ),
+    max_leaves=16,
+)
+
+
+@st.composite
+def mutated_documents(draw) -> dict:
+    """The line network's document with one subtree replaced by a random value."""
+    doc = NET.to_json_dict()
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
+            node[key] = draw(JSON_VALUES)
+            return doc
+        node = child
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES | mutated_documents())
+def test_network_spec_json_parses_or_raises_value_error(doc):
+    try:
+        NetworkSpec.from_json_dict(doc)
+    except ValueError:
+        pass

@@ -1,17 +1,14 @@
 """Readout-error channel and calibration-inversion mitigation."""
 
+import math
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from qffnn.network import line_recognition_network, sampled_counts
 from qffnn.neuron import BinaryVector, neuron_circuit, simulated_activation_probability
-from qffnn.noise import (
-    CalibrationMatrix,
-    ReadoutErrorModel,
-    build_calibration,
-    mitigate,
-    noisy_counts,
-)
+from qffnn.noise import MAX_CALIBRATION_BITS, ReadoutErrorModel, build_calibration, mitigate, noisy_counts
 from qffnn.simulator import Counts, run_circuit
 
 
@@ -39,25 +36,20 @@ def test_single_bit_confusion_matrix():
 
 def test_noiseless_calibration_is_identity():
     cal = build_calibration(ReadoutErrorModel(0.0, 0.0), 3)
-    assert np.allclose(cal.matrix, np.eye(8))
+    assert np.allclose(cal, np.eye(8))
 
 
 def test_two_bit_calibration_is_tensor_product():
     model = ReadoutErrorModel(0.05, 0.03)
     cal = build_calibration(model, 2)
     single = model.confusion_matrix()
-    assert np.allclose(cal.matrix, np.kron(single, single))
-    assert np.allclose(cal.matrix.sum(axis=0), 1.0)
+    assert np.allclose(cal, np.kron(single, single))
+    assert np.allclose(cal.sum(axis=0), 1.0)
 
 
 def test_calibration_size_bound():
     with pytest.raises(ValueError):
         build_calibration(ReadoutErrorModel(0.01, 0.01), 9)
-
-
-def test_calibration_matrix_validates_columns():
-    with pytest.raises(ValueError):
-        CalibrationMatrix(np.array([[0.5, 0.0], [0.0, 0.5]]), 1)
 
 
 def test_zero_noise_is_identity_on_bits():
@@ -101,22 +93,20 @@ def test_noisy_counts_preserves_total_and_matches_channel():
 
 def test_mitigate_with_identity_calibration_returns_frequencies():
     counts = Counts({"00": 25, "01": 25, "10": 25, "11": 25}, 100)
-    cal = build_calibration(ReadoutErrorModel(0.0, 0.0), 2)
-    assert np.allclose(mitigate(counts, cal), [0.25, 0.25, 0.25, 0.25])
+    assert np.allclose(mitigate(counts, ReadoutErrorModel(0.0, 0.0)), [0.25, 0.25, 0.25, 0.25])
 
 
 def test_mitigation_inverts_the_channel_exactly_at_distribution_level():
     model = ReadoutErrorModel(0.05, 0.03)
     cal = build_calibration(model, 3)
     p = np.array([0.1, 0.0, 0.25, 0.05, 0.3, 0.0, 0.2, 0.1])
-    recovered = np.linalg.solve(cal.matrix, cal.matrix @ p)
+    recovered = np.linalg.solve(cal, cal @ p)
     assert np.max(np.abs(recovered - p)) < 1e-10
 
 
 def test_mitigated_vector_is_a_distribution():
     counts = Counts({"00": 90, "01": 4, "10": 4, "11": 2}, 100)
-    cal = build_calibration(ReadoutErrorModel(0.1, 0.08), 2)
-    vec = mitigate(counts, cal)
+    vec = mitigate(counts, ReadoutErrorModel(0.1, 0.08))
     assert vec.min() >= 0.0
     assert abs(vec.sum() - 1.0) < 1e-12
 
@@ -124,20 +114,46 @@ def test_mitigated_vector_is_a_distribution():
 def test_mitigate_checks_the_condition_number_not_the_determinant():
     # at 7 bits the determinant 0.1**(7 * 64) underflows to 0.0, while the
     # condition number is only 10**7
-    cal = build_calibration(ReadoutErrorModel(0.45, 0.45), 7)
-    assert np.linalg.det(cal.matrix) == 0.0
-    vec = mitigate(Counts({"0000000": 60, "1111111": 40}, 100), cal)
+    model = ReadoutErrorModel(0.45, 0.45)
+    assert np.linalg.det(build_calibration(model, 7)) == 0.0
+    vec = mitigate(Counts({"0000000": 60, "1111111": 40}, 100), model)
     assert vec.min() >= 0.0 and abs(vec.sum() - 1.0) < 1e-12
-    singular = CalibrationMatrix(np.full((2, 2), 0.5), 1)
+    # the largest valid rate: the confusion matrix's condition number is
+    # about 3e16, past 1 / eps
+    p = math.nextafter(0.5, 0.0)
     with pytest.raises(ValueError, match="singular.*condition number"):
-        mitigate(Counts({"0": 3, "1": 1}, 4), singular)
+        mitigate(Counts({"0": 3, "1": 1}, 4), ReadoutErrorModel(p, p))
 
 
-def test_mitigate_rejects_width_mismatch():
-    counts = Counts({"00": 100}, 100)
-    cal = build_calibration(ReadoutErrorModel(0.05, 0.03), 3)
-    with pytest.raises(ValueError):
-        mitigate(counts, cal)
+def dense_mitigation(counts: Counts, model: ReadoutErrorModel) -> np.ndarray:
+    """The mitigated vector rebuilt step by step: left-folded Kronecker power
+    of the confusion matrix, dense solve on the frequencies, clip, renormalize."""
+    num_bits = counts.num_clbits()
+    cal = reduce(np.kron, [model.confusion_matrix()] * num_bits)
+    freq = np.zeros(1 << num_bits)
+    for key, cnt in counts.counts.items():
+        freq[int(key, 2)] += cnt
+    solved = np.clip(np.linalg.solve(cal, freq / counts.total_shots), 0.0, None)
+    return solved / solved.sum()
+
+
+@pytest.mark.parametrize(
+    "model", [ReadoutErrorModel(0.05, 0.03), ReadoutErrorModel(0.2, 0.0), ReadoutErrorModel(0.1, 0.45)]
+)
+@pytest.mark.parametrize("num_bits", [1, 2, 3])
+def test_mitigate_keeps_the_bytes_of_the_dense_solve(model, num_bits):
+    # results files carry these floats, so equality is bitwise, not approximate
+    rng = np.random.default_rng([17, num_bits])
+    for _ in range(25):
+        drawn = rng.multinomial(1000, rng.dirichlet(np.ones(1 << num_bits)))
+        counts = Counts({format(k, f"0{num_bits}b"): int(c) for k, c in enumerate(drawn) if c}, 1000)
+        assert mitigate(counts, model).tobytes() == dense_mitigation(counts, model).tobytes()
+
+
+@pytest.mark.parametrize("num_bits", [0, MAX_CALIBRATION_BITS + 1])
+def test_mitigate_refuses_counts_outside_the_calibration_widths(num_bits):
+    with pytest.raises(ValueError, match="num_bits must be in"):
+        mitigate(Counts({"1" * num_bits: 5}, 5), ReadoutErrorModel(0.05, 0.03))
 
 
 def test_single_neuron_noise_mitigation_round_trip():
@@ -148,7 +164,7 @@ def test_single_neuron_noise_mitigation_round_trip():
     rng = np.random.default_rng(21)
     counts = run_circuit(neuron_circuit(input_vec, weight), 100_000, rng)
     noisy = noisy_counts(counts, model, rng)
-    corrected = mitigate(noisy, build_calibration(model, 1))
+    corrected = mitigate(noisy, model)
     assert abs(corrected[1] - ideal) < 0.01
 
 
@@ -160,7 +176,7 @@ def test_network_counts_noise_shifts_unmitigated_estimate():
     counts = sampled_counts(net, vec, "hybrid", 50_000, rng)
     noisy = noisy_counts(counts, model, rng)
     assert noisy.marginal_probability(0) > 0.05  # raw estimate dragged off zero
-    corrected = mitigate(noisy, build_calibration(model, 3))
+    corrected = mitigate(noisy, model)
     from qffnn.network import output_probability_from_vector
 
     assert output_probability_from_vector(corrected) < 0.02
@@ -171,4 +187,4 @@ def test_zero_width_counts_pass_through_the_channel_unchanged():
     counts = Counts({"": 5}, 5)
     rng = np.random.default_rng(0)
     assert noisy_counts(counts, ReadoutErrorModel(0.05, 0.03), rng) == Counts({"": 5}, 5)
-    assert counts.probability_vector(0).tolist() == [1.0]
+    assert counts.probability_vector().tolist() == [1.0]
