@@ -90,6 +90,10 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 
 def _cmd_neuron(args: argparse.Namespace) -> int:
+    if args.sweep and args.conditional:
+        raise ValueError("--sweep and --conditional exclude each other")
+    if (args.sweep or args.conditional) and (args.evaluation == "sampled" or args.noise is not None or args.mitigate):
+        raise ValueError("--sweep and --conditional are exact: they take no --eval sampled, --noise or --mitigate")
     weight_m = None if ":" in args.weight else (2 if args.conditional else 4)
     weight = parse_weight(args.weight, m=weight_m)
     if args.conditional:

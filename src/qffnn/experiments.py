@@ -3,9 +3,11 @@
 The network experiment evaluates the 3-node line-recognition task over every
 input label, in exact and/or shot-sampled form, optionally through the
 readout-noise and mitigation pipeline, and emits one machine-readable results
-document (JSON or CSV) plus a human summary.  Determinism: per-label random
-streams are derived from (seed, label, mode), so results do not depend on
-evaluation order and identical configurations produce byte-identical files.
+document (JSON or CSV) plus a human summary.  One experiment simulates each
+distinct node input once: the p1/p2 columns and the hybrid forward pass of
+every label share one activation table.  Determinism: per-label random streams
+come from (seed, label, mode), so results do not depend on evaluation order
+and identical configurations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,14 +15,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .circuit_text import format_circuit
 from .network import (
+    Activations,
     NetworkSpec,
+    activation,
     build_hybrid_circuit,
     coherent_exact,
     coherent_measured_circuit,
@@ -74,6 +79,8 @@ def line_labels() -> frozenset[int]:
 
 
 TARGET_LABELS = line_labels()
+# immutable, so every configuration without --weights shares these three
+DEFAULT_WEIGHTS = (BinaryVector.from_label(12, 4), BinaryVector.from_label(10, 4), BinaryVector((1, -1)))
 
 
 def parse_weight(token: str, m: int | None = None) -> BinaryVector:
@@ -88,11 +95,7 @@ def parse_weights_option(option: str | None) -> tuple[BinaryVector, BinaryVector
     """``--weights`` value: two hidden weights plus an optional output weight,
     comma separated.  Defaults to the line-recognition fixture 12,10,(1,-1)."""
     if option is None:
-        return (
-            BinaryVector.from_label(12, 4),
-            BinaryVector.from_label(10, 4),
-            BinaryVector((1, -1)),
-        )
+        return DEFAULT_WEIGHTS
     parts = option.split(",")
     if len(parts) not in (2, 3):
         raise ValueError("--weights takes 'W1,W2' or 'W1,W2,W3'")
@@ -114,7 +117,7 @@ def _check_readout(evaluation: str, noise: tuple[float, float] | None, apply_mit
         raise ValueError("mitigation needs readout noise")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentConfig:
     mode: str = "both"
     evaluation: str = "exact"
@@ -122,9 +125,7 @@ class ExperimentConfig:
     seed: int = 0
     noise: tuple[float, float] | None = None
     mitigate: bool = False
-    weights: tuple[BinaryVector, BinaryVector, BinaryVector] = field(
-        default_factory=lambda: parse_weights_option(None)
-    )
+    weights: tuple[BinaryVector, BinaryVector, BinaryVector] = DEFAULT_WEIGHTS
     threshold: float = 0.5
     format: str = "json"
 
@@ -179,21 +180,22 @@ def _estimate_sampled(
     return counts.marginal_probability(0), dict(counts.counts)
 
 
-def _evaluate_label(config: ExperimentConfig, net: NetworkSpec, label: int) -> dict:
+def _evaluate_label(config: ExperimentConfig, net: NetworkSpec, label: int, activations: Activations) -> dict:
     w1, w2, _ = config.weights
     vec = BinaryVector.from_label(label, w1.m)
     row: dict = {
         "label": label,
-        "pattern": pattern_string(vec),
-        "p1": simulated_activation_probability(vec, w1),
-        "p2": simulated_activation_probability(vec, w2),
+        # one of 16 strings: interned, so the rows of every experiment share them
+        "pattern": sys.intern(pattern_string(vec)),
+        "p1": activation(activations, vec, w1),
+        "p2": activation(activations, vec, w2),
         "p_out": {},
         "target": label in TARGET_LABELS,
     }
     counts: dict[str, dict[str, int]] = {}
     for mode_idx, mode in enumerate(config.modes):
         if config.evaluation == "exact":
-            result = hybrid_exact(net, vec, config.threshold) if mode == "hybrid" else coherent_exact(net, vec, config.threshold)
+            result = hybrid_exact(net, vec, activations=activations) if mode == "hybrid" else coherent_exact(net, vec)
             row["p_out"][mode] = result.p_out
         else:
             rng = np.random.default_rng([config.seed, label, mode_idx])
@@ -211,8 +213,8 @@ def run_network_experiment(config: ExperimentConfig) -> tuple[dict, int]:
     """Evaluate every input label; returns (results document, exit code).
     Exit code 0 iff all verdicts match the line-recognition target set."""
     net = config.network()
-    num_labels = 1 << config.weights[0].m
-    rows = [_evaluate_label(config, net, label) for label in range(num_labels)]
+    activations: Activations = {}
+    rows = [_evaluate_label(config, net, label, activations) for label in range(1 << config.weights[0].m)]
     primary = config.modes[0]
     correct = sum(1 for r in rows if r["verdict"] == r["target"])
     target_p = [r["p_out"][primary] for r in rows if r["target"]]

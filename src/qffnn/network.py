@@ -6,13 +6,14 @@ Hybrid mode: each node runs on its own small register; measuring its ancilla
 yields a classical bit, and the bits of one layer program the input
 preparation of the next (bit 0 -> entry +1, bit 1 -> entry -1).  One forward
 pass carries the law of each layer's measured bit pattern to the next layer,
-simulating every node once per distinct fed-forward input.  Each layer costs
-up to 2**(width of the layer before) times 2**(its own width), and the costs
-add across layers instead of multiplying.  ``hybrid_exact`` reads the output
-law of a network of any depth from this pass.  Sampling needs the combined
-circuit, one circuit with mid-circuit measurement: it covers two-layer
-networks whose single-qubit output node is fed once by every hidden node and
-that fit in ``MAX_QUBITS`` qubits, and ``sampled_counts`` draws from it.
+simulating every node once per distinct fed-forward input while its caller's
+activation table lives (one ``hybrid_exact`` call, or one line experiment).
+Each layer costs up to 2**(width of the layer before) times 2**(its own
+width), added across layers.  ``hybrid_exact`` reads the output law of a
+network of any depth from this pass.  Sampling needs the combined circuit,
+one circuit with mid-circuit measurement: it covers two-layer networks whose
+single-qubit output node is fed once by every hidden node and that fit in
+``MAX_QUBITS`` qubits, and ``sampled_counts`` draws from it.
 
 Coherent mode: the same network as one circuit without mid-circuit
 measurement.  It is derived from the combined hybrid circuit by the
@@ -58,6 +59,7 @@ from .simulator import (
 )
 
 DEFAULT_THRESHOLD = 0.5
+Activations = dict[tuple[BinaryVector, BinaryVector], float]
 
 
 _JSON_TYPES = {list: "a list", int: "an integer"}
@@ -244,20 +246,24 @@ def _first_layer_inputs(net: NetworkSpec, input_vec: BinaryVector) -> list[Binar
     return [input_vec] * len(net.layers[0].neurons)
 
 
-def _layer_laws(net: NetworkSpec, input_vec: BinaryVector) -> Iterator[np.ndarray]:
+def activation(activations: Activations, vec: BinaryVector, weight: BinaryVector) -> float:
+    """The activation of ``vec`` under ``weight``, simulated on its first lookup in ``activations``."""
+    p = activations.get((vec, weight))
+    if p is None:
+        p = activations[vec, weight] = simulated_activation_probability(vec, weight)
+    return p
+
+
+def _layer_laws(net: NetworkSpec, input_vec: BinaryVector, activations: Activations) -> Iterator[np.ndarray]:
     """Forward pass of the hybrid network: yield, layer by layer, the law of
     that layer's measured bit pattern as a vector of length 2**width whose
-    index bit k is node k's outcome.  Each node is simulated once per distinct
-    fed-forward input, and patterns of zero weight feed nothing forward."""
-    activations: dict[tuple[BinaryVector, BinaryVector], float] = {}
+    index bit k is node k's outcome.  The caller owns the activation table and
+    decides how long it lives; patterns of zero weight feed nothing forward."""
 
     def pattern_law(inputs: Sequence[BinaryVector], specs: Sequence[NeuronSpec]) -> np.ndarray:
         law = np.ones(1)
         for vec, spec in zip(inputs, specs):
-            key = (vec, spec.weight)
-            if key not in activations:
-                activations[key] = simulated_activation_probability(vec, spec.weight)
-            p = activations[key]
+            p = activation(activations, vec, spec.weight)
             law = np.concatenate((law * (1.0 - p), law * p))
         return law
 
@@ -289,14 +295,16 @@ def hybrid_exact(
     net: NetworkSpec,
     input_vec: BinaryVector,
     threshold: float = DEFAULT_THRESHOLD,
+    *,
+    activations: Activations | None = None,
 ) -> RunResult:
     """Exact output law of the hybrid network, read from the last law of the
-    forward pass.  Handles any depth; each layer costs up to 2**(width of the
-    layer before) times 2**(its own width), added across layers."""
+    forward pass of any depth, through a fresh activation table per call
+    unless the caller shares one in ``activations``."""
     if len(net.layers) < 2:
         raise UnsupportedTopology("feed-forward execution needs at least two layers")
     net.output_neuron  # validates single output node
-    *_, law = _layer_laws(net, input_vec)
+    *_, law = _layer_laws(net, input_vec, {} if activations is None else activations)
     return _result(input_vec, float(law[1]), "hybrid", threshold)
 
 

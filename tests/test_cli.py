@@ -166,6 +166,35 @@ def test_dump_circuit_listings_keep_their_bytes(capsys):
     assert digest.hexdigest() == DUMP_CIRCUIT_SHA256
 
 
+# sha256 of the results files written with --out (seed 0) and of one sampled
+# neuron report on stdout; byte-identical output for a seed is a contract, so
+# a change of these digests is a change of the program's results
+RESULTS_SHA256 = {
+    ("network", "--eval", "exact"): "552540d485836563492b05a3a4a6cedac9b61eef879fb79cee8b5bbb444df09f",
+    ("network", "--eval", "exact", "--format", "csv"): "0e6a7842606c564c8587a66b9838a1a4e1c2c85c8a36abe95c802b7bd8ea18ab",
+    ("network", "--mode", "hybrid", "--eval", "exact"): "39f82dddde34fed8a59c4d26381a16f8c9052420d9ef9e0e48eecc7b7bc8821c",
+    ("network", "--mode", "coherent", "--eval", "exact"): "15b204e968733cf57a342c8c310b1456bc49cb67db8aaf010a6f884487c6d10d",
+    ("network", "--weights", "3,5", "--eval", "exact"): "5e72756bdd54f2cc5ff91feff7d244ca5e7622012902d8576998979f8d3f5b00",
+    ("network", "--eval", "sampled"): "fe1b684183f570354fb7082951753275b817a4889155de6f6a6f8d8000d008a7",
+    ("network", "--eval", "sampled", "--noise", "0.05,0.03", "--mitigate"): (
+        "898737ae1d0aa5682dec0d2cb17691a517490ab8d5174578a52202573e2ea368"
+    ),
+}
+NEURON_REPORT_SHA256 = "f0e32744a5d0a7f064404eb32c8f112d9880f87833a66ee5e7a2c82f5e3a7a6a"
+
+
+@pytest.mark.parametrize("argv", list(RESULTS_SHA256), ids=" ".join)
+def test_results_files_keep_their_bytes(argv, tmp_path):
+    out = tmp_path / "results"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RESULTS_SHA256[argv]
+
+
+def test_sampled_neuron_report_keeps_its_bytes(capsys):
+    assert main(["neuron", "--input", "13", "--weight", "12", "--eval", "sampled", "--seed", "5"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == NEURON_REPORT_SHA256
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -180,6 +209,15 @@ def test_dump_circuit_listings_keep_their_bytes(capsys):
         ["network", "--eval", "sampled", "--mitigate"],
         ["neuron", "--input", "13", "--weight", "12", "--noise", "0.05,0.03", "--mitigate"],
         ["neuron", "--input", "13", "--weight", "12", "--eval", "sampled", "--mitigate"],
+        # options the exact sweeps would ignore, and the two sweeps together
+        ["neuron", "--weight", "12", "--sweep", "--eval", "sampled", "--noise", "0.05,0.03", "--mitigate"],
+        ["neuron", "--weight", "12", "--sweep", "--eval", "sampled"],
+        ["neuron", "--weight", "12", "--sweep", "--noise", "0.05,0.03"],
+        ["neuron", "--weight", "12", "--sweep", "--mitigate"],
+        ["neuron", "--weight", "1", "--conditional", "--eval", "sampled", "--shots", "0"],
+        ["neuron", "--weight", "1", "--conditional", "--noise", "0.05,0.03"],
+        ["neuron", "--weight", "1", "--conditional", "--mitigate"],
+        ["neuron", "--weight", "12", "--sweep", "--conditional"],
     ],
 )
 def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):

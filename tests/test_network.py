@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qffnn.experiments import ExperimentConfig, run_network_experiment
 from qffnn.network import (
     LayerSpec,
     NetworkSpec,
@@ -304,21 +305,60 @@ def test_deep_network_exact_matches_brute_force():
             assert abs(hybrid_exact(net, label(n)).p_out - brute_force_output_law(net, label(n))) < ATOL
 
 
-def test_forward_pass_simulates_each_distinct_node_input_once(monkeypatch):
+@pytest.fixture
+def node_sims(monkeypatch) -> list[tuple[BinaryVector, BinaryVector]]:
+    """The (input, weight) pair of every node simulation the network and
+    experiment modules run, in call order."""
+    import qffnn.experiments as experiments_module
     import qffnn.network as network_module
 
-    net = quarter_activation_network()
-    assert all(activation_probability(label(0), spec.weight) == 0.25 for spec in net.layers[0].neurons)
     calls = []
 
     def recording(vec, weight):
         calls.append((vec, weight))
         return simulated_activation_probability(vec, weight)
 
-    monkeypatch.setattr(network_module, "simulated_activation_probability", recording)
+    for module in (network_module, experiments_module):
+        monkeypatch.setattr(module, "simulated_activation_probability", recording)
+    return calls
+
+
+def test_forward_pass_simulates_each_distinct_node_input_once(node_sims):
+    net = quarter_activation_network()
+    assert all(activation_probability(label(0), spec.weight) == 0.25 for spec in net.layers[0].neurons)
     p_out = hybrid_exact(net, label(0)).p_out
-    assert len(calls) == len(set(calls))
+    assert len(node_sims) == len(set(node_sims))
     assert abs(p_out - brute_force_output_law(net, label(0))) < ATOL
+
+
+def test_standalone_hybrid_exact_calls_share_no_activations(node_sims):
+    # label 13 activates both hidden nodes with 0.25, so all four hidden
+    # patterns feed the output node: 2 + 4 simulations per call
+    hybrid_exact(NET, label(13))
+    first = len(node_sims)
+    hybrid_exact(NET, label(13))
+    assert first == 6 and node_sims[first:] == node_sims[:first]
+
+
+def test_line_experiment_simulates_each_distinct_node_input_once(node_sims):
+    # 16 labels under two hidden weights, plus the output node's 4 fed-forward
+    # inputs; coherent mode runs the combined circuit, not single nodes
+    config = ExperimentConfig(mode="both", evaluation="exact")
+    run_network_experiment(config)
+    assert len(node_sims) == 36 and len(set(node_sims)) == 36
+    # a second experiment keeps nothing of the first
+    run_network_experiment(config)
+    assert node_sims[36:] == node_sims[:36]
+
+
+def test_line_experiment_rows_equal_standalone_simulations():
+    doc, _ = run_network_experiment(ExperimentConfig(mode="both", evaluation="exact"))
+    w1, w2, _ = ExperimentConfig().weights
+    for row in doc["rows"]:
+        vec = label(row["label"])
+        assert row["p1"].hex() == simulated_activation_probability(vec, w1).hex()
+        assert row["p2"].hex() == simulated_activation_probability(vec, w2).hex()
+        assert row["p_out"]["hybrid"].hex() == hybrid_exact(NET, vec).p_out.hex()
 
 
 def wide_hidden_nodes_network() -> NetworkSpec:
