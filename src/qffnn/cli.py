@@ -130,8 +130,9 @@ def _cmd_dump(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Exit 0 on success, 1 when the network verdicts
-    miss the target set, 2 on a usage error or input rejected with
-    ``ValueError`` (reported as one line on stderr)."""
+    miss the target set, 2 on a usage error, on input rejected with
+    ``ValueError`` or on an ``--out`` file that cannot be written (``OSError``);
+    the last two are reported as one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
         if args.command == "network":
@@ -142,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_dump(args)
         print(render_pattern(args.label))
         return 0
-    except ValueError as exc:  # includes UnsupportedTopology
+    except (ValueError, OSError) as exc:  # ValueError includes UnsupportedTopology
         print(f"qffnn: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from .circuit_text import format_circuit
 from .network import (
+    LINE_WEIGHTS,
     Activations,
     NetworkSpec,
     activation,
@@ -79,8 +80,6 @@ def line_labels() -> frozenset[int]:
 
 
 TARGET_LABELS = line_labels()
-# immutable, so every configuration without --weights shares these three
-DEFAULT_WEIGHTS = (BinaryVector.from_label(12, 4), BinaryVector.from_label(10, 4), BinaryVector((1, -1)))
 
 
 def parse_weight(token: str, m: int | None = None) -> BinaryVector:
@@ -95,13 +94,13 @@ def parse_weights_option(option: str | None) -> tuple[BinaryVector, BinaryVector
     """``--weights`` value: two hidden weights plus an optional output weight,
     comma separated.  Defaults to the line-recognition fixture 12,10,(1,-1)."""
     if option is None:
-        return DEFAULT_WEIGHTS
+        return LINE_WEIGHTS
     parts = option.split(",")
     if len(parts) not in (2, 3):
         raise ValueError("--weights takes 'W1,W2' or 'W1,W2,W3'")
     w1 = parse_weight(parts[0])
     w2 = parse_weight(parts[1])
-    w3 = parse_weight(parts[2], m=2) if len(parts) == 3 else BinaryVector((1, -1))
+    w3 = parse_weight(parts[2], m=2) if len(parts) == 3 else LINE_WEIGHTS[2]
     if w1.m != 4 or w2.m != 4 or w3.m != 2:
         raise ValueError("network command expects 4-entry hidden weights and a 2-entry output weight")
     return w1, w2, w3
@@ -125,7 +124,8 @@ class ExperimentConfig:
     seed: int = 0
     noise: tuple[float, float] | None = None
     mitigate: bool = False
-    weights: tuple[BinaryVector, BinaryVector, BinaryVector] = DEFAULT_WEIGHTS
+    # immutable, so every configuration without --weights shares these three
+    weights: tuple[BinaryVector, BinaryVector, BinaryVector] = LINE_WEIGHTS
     threshold: float = 0.5
     format: str = "json"
 

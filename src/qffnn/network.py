@@ -30,7 +30,6 @@ bits 1..l hold the hidden-node outcomes in layer order.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -59,26 +58,9 @@ from .simulator import (
 )
 
 DEFAULT_THRESHOLD = 0.5
+# the line-recognition fixture's weights: hidden labels 12 and 10, output (+1, -1)
+LINE_WEIGHTS = (BinaryVector.from_label(12, 4), BinaryVector.from_label(10, 4), BinaryVector((1, -1)))
 Activations = dict[tuple[BinaryVector, BinaryVector], float]
-
-
-_JSON_TYPES = {list: "a list", int: "an integer"}
-
-
-def _field(doc: object, key: str, kind: type, where: str, of_ints: bool = False):
-    """``doc[key]`` checked to be a ``kind`` (a list of integers if
-    ``of_ints``); ``where`` names ``doc`` in the ``ValueError`` raised
-    otherwise."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    if key not in doc:
-        raise ValueError(f"{where} has no field {key!r}")
-    value = doc[key]
-    # exact types: JSON true/false load as bool, a subclass of int
-    if type(value) is not kind or (of_ints and not all(type(v) is int for v in value)):
-        of = " of integers" if of_ints else ""
-        raise ValueError(f"field {key!r} of {where} must be {_JSON_TYPES[kind]}{of}")
-    return value
 
 
 class UnsupportedTopology(ValueError):
@@ -140,67 +122,6 @@ class NetworkSpec:
             raise UnsupportedTopology("executors require a single output neuron")
         return self.layers[-1].neurons[0]
 
-    def to_json_dict(self) -> dict:
-        doc: dict = {"layers": [], "synapses": []}
-        for layer in self.layers:
-            doc["layers"].append(
-                {
-                    "neurons": [
-                        {
-                            "weight_label": spec.weight.label(),
-                            "qubits": list(spec.encoding_qubits),
-                            "ancilla": spec.ancilla_qubit,
-                        }
-                        for spec in layer.neurons
-                    ]
-                }
-            )
-        for layer_map in self.synapses:
-            doc["synapses"].append({str(j): list(feeders) for j, feeders in enumerate(layer_map)})
-        return doc
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "NetworkSpec":
-        """Inverse of ``to_json_dict``; a missing or ill-typed field raises
-        ``ValueError`` naming it.  A neuron gives its weight as
-        ``weight_entries`` or as ``weight_label`` over 2**len(qubits) entries;
-        more than ``MAX_QUBITS`` qubits raise before that weight is built."""
-        layers = []
-        for i, layer_doc in enumerate(_field(doc, "layers", list, "network")):
-            neurons = []
-            for j, nd in enumerate(_field(layer_doc, "neurons", list, f"layer {i}")):
-                where = f"neuron {j} of layer {i}"
-                qubits = tuple(_field(nd, "qubits", list, where, of_ints=True))
-                if len(qubits) > MAX_QUBITS:
-                    raise ValueError(f"{where} lists {len(qubits)} qubits, more than MAX_QUBITS={MAX_QUBITS}")
-                if "weight_entries" in nd:
-                    weight = BinaryVector(tuple(_field(nd, "weight_entries", list, where, of_ints=True)))
-                else:
-                    weight = BinaryVector.from_label(_field(nd, "weight_label", int, where), 1 << len(qubits))
-                ancilla = nd.get("ancilla")
-                if ancilla is not None:
-                    _field(nd, "ancilla", int, where)
-                try:
-                    neurons.append(NeuronSpec(weight, qubits, ancilla))
-                except ValueError as exc:
-                    raise ValueError(f"{where}: {exc}") from None
-            layers.append(LayerSpec(tuple(neurons)))
-        synapses = []
-        for i, layer_map in enumerate(_field(doc, "synapses", list, "network") if "synapses" in doc else []):
-            where = f"synapse map {i}"
-            if not isinstance(layer_map, dict):
-                raise ValueError(f"{where} must be a JSON object")
-            feeders = (_field(layer_map, str(j), list, where, of_ints=True) for j in range(len(layer_map)))
-            synapses.append(tuple(tuple(f) for f in feeders))
-        return cls(tuple(layers), tuple(synapses))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "NetworkSpec":
-        return cls.from_json_dict(json.loads(text))
-
 
 @dataclass(frozen=True, slots=True)
 class RunResult:
@@ -219,10 +140,9 @@ def line_recognition_network(
     """The built-in 3-node network for 2x2 line recognition: one hidden node
     tuned to horizontal lines (label 12), one to vertical lines (label 10),
     and a single-qubit output node with weight (+1, -1) flagging dissimilar
-    hidden outcomes.  Seven qubits in total."""
-    w1 = w1 if w1 is not None else BinaryVector.from_label(12, 4)
-    w2 = w2 if w2 is not None else BinaryVector.from_label(10, 4)
-    w_out = w_out if w_out is not None else BinaryVector((1, -1))
+    hidden outcomes.  Seven qubits in total; a weight left ``None`` is taken
+    from ``LINE_WEIGHTS``."""
+    w1, w2, w_out = (w if w is not None else d for w, d in zip((w1, w2, w_out), LINE_WEIGHTS))
     hidden = LayerSpec(
         (
             NeuronSpec(w1, (0, 1), 2),
@@ -286,17 +206,13 @@ def _clamp_probability(p: float) -> float:
     return min(max(p, 0.0), 1.0)
 
 
-def _result(input_vec: BinaryVector, p: float, mode: str, threshold: float) -> RunResult:
+def _result(input_vec: BinaryVector, p: float, mode: str) -> RunResult:
     p = _clamp_probability(p)
-    return RunResult(input_vec.label(), p, mode, None, p > threshold)
+    return RunResult(input_vec.label(), p, mode, None, p > DEFAULT_THRESHOLD)
 
 
 def hybrid_exact(
-    net: NetworkSpec,
-    input_vec: BinaryVector,
-    threshold: float = DEFAULT_THRESHOLD,
-    *,
-    activations: Activations | None = None,
+    net: NetworkSpec, input_vec: BinaryVector, *, activations: Activations | None = None
 ) -> RunResult:
     """Exact output law of the hybrid network, read from the last law of the
     forward pass of any depth, through a fresh activation table per call
@@ -305,7 +221,7 @@ def hybrid_exact(
         raise UnsupportedTopology("feed-forward execution needs at least two layers")
     net.output_neuron  # validates single output node
     *_, law = _layer_laws(net, input_vec, {} if activations is None else activations)
-    return _result(input_vec, float(law[1]), "hybrid", threshold)
+    return _result(input_vec, float(law[1]), "hybrid")
 
 
 def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
@@ -365,18 +281,14 @@ def coherent_measured_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circ
     return circuit
 
 
-def coherent_exact(
-    net: NetworkSpec,
-    input_vec: BinaryVector,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> RunResult:
+def coherent_exact(net: NetworkSpec, input_vec: BinaryVector) -> RunResult:
     """Exact coherent run: simulate the gates of the coherent circuit, trace
     out everything but the qubit it measures into bit 0, and read the
     excited population."""
     circuit = coherent_measured_circuit(net, input_vec)
     *gates, readout = circuit.ops
     rho = reduced_density_matrix(simulate_state(Circuit(circuit.num_qubits, 0, gates)), readout.qubit)
-    return _result(input_vec, float(rho[1, 1].real), "coherent", threshold)
+    return _result(input_vec, float(rho[1, 1].real), "coherent")
 
 
 def sampled_counts(

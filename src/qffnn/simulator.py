@@ -46,6 +46,8 @@ MAX_QUBITS = 12
 MAX_BRANCHES = 8192
 # how far the exact outcome law may sum from 1 before sampling from it
 LAW_ATOL = 1e-9
+# run_circuit's multinomial draw counts shots in an int64
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 GATE_KINDS = ("H", "X", "Z", "CZ", "MCZ", "MCX")
 DIAGONAL_KINDS = frozenset({"Z", "CZ", "MCZ"})
@@ -380,10 +382,10 @@ def run_circuit(circuit: Circuit, shots: int, rng: np.random.Generator) -> Count
     law of ``run_circuit_exact`` (which raises ``ValueError`` past
     ``MAX_BRANCHES`` branches).  Outcomes are drawn in sorted key order, so a
     seeded ``rng`` gives the same counts on every run; outcomes drawn zero
-    times are left out.
+    times are left out.  ``shots`` must lie in 1..2**63 - 1.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= _MAX_SHOTS:
+        raise ValueError(f"shots must lie in 1..{_MAX_SHOTS}, not {shots}")
     law = run_circuit_exact(circuit)
     keys = sorted(law)
     probs = np.array([law[k] for k in keys])

@@ -218,10 +218,22 @@ def test_sampled_neuron_report_keeps_its_bytes(capsys):
         ["neuron", "--weight", "1", "--conditional", "--noise", "0.05,0.03"],
         ["neuron", "--weight", "1", "--conditional", "--mitigate"],
         ["neuron", "--weight", "12", "--sweep", "--conditional"],
+        # past the int64 range of the multinomial draw
+        ["network", "--eval", "sampled", "--shots", "100000000000000000000"],
+        ["neuron", "--eval", "sampled", "--shots", "100000000000000000000"],
     ],
 )
 def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("qffnn: error: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command", ["network", "dump-circuit"])
+def test_unwritable_out_path_is_one_line_error_with_exit_2(command, tmp_path, capsys):
+    assert main([command, "--out", str(tmp_path / "missing" / "out.txt")]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("qffnn: error: ")

@@ -6,8 +6,6 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qffnn.experiments import ExperimentConfig, run_network_experiment
 from qffnn.network import (
@@ -417,18 +415,19 @@ def test_input_length_mismatch_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# results, classification, serialization
+# results and classification
 
 
-def test_classify_uses_strict_threshold():
+def test_verdict_uses_strict_threshold():
     # the verdict is p_out > threshold: a threshold equal to p_out rejects,
-    # the next float below it accepts
-    for n in (12, 13, 0):
-        p_out = hybrid_exact(NET, label(n)).p_out
-        assert hybrid_exact(NET, label(n), threshold=p_out).classified_positive is False
-        assert hybrid_exact(NET, label(n), threshold=math.nextafter(p_out, -1.0)).classified_positive is True
-    assert hybrid_exact(NET, label(13), threshold=0.5).classified_positive is False
-    assert hybrid_exact(NET, label(13), threshold=0.3).classified_positive is True
+    # the next float below it accepts; label 0 has p_out 0, and a negative
+    # threshold is refused, so the labels tested have 0 < p_out
+    base, _ = run_network_experiment(ExperimentConfig(mode="hybrid"))
+    for n in (12, 13):
+        p_out = base["rows"][n]["p_out"]["hybrid"]
+        for threshold, verdict in ((p_out, False), (math.nextafter(p_out, -1.0), True)):
+            doc, _ = run_network_experiment(ExperimentConfig(mode="hybrid", threshold=threshold))
+            assert doc["rows"][n]["verdict"] is verdict
 
 
 @pytest.mark.parametrize("p,clamped", [(-LAW_ATOL / 2, 0.0), (1 + LAW_ATOL / 2, 1.0), (0.375, 0.375)])
@@ -443,112 +442,7 @@ def test_probability_clamp_rejects_values_past_law_atol(p):
 
 
 def test_run_result_consistency():
-    result = hybrid_exact(NET, label(12), threshold=0.5)
+    result = hybrid_exact(NET, label(12))
     assert result.classified_positive is (result.p_out > 0.5)
     assert result.input_label == 12
     assert result.shots is None and result.mode == "hybrid"
-
-
-def test_network_spec_json_roundtrip():
-    doc = NET.to_json()
-    restored = NetworkSpec.from_json(doc)
-    assert restored == NET
-    deep = deep_network()
-    assert NetworkSpec.from_json_dict(deep.to_json_dict()) == deep
-
-
-def test_network_spec_json_accepts_entry_lists():
-    doc = NET.to_json_dict()
-    doc["layers"][1]["neurons"][0] = {"weight_entries": [1, -1], "qubits": [6], "ancilla": None}
-    assert NetworkSpec.from_json_dict(doc) == NET
-
-
-def test_network_spec_json_names_missing_and_ill_typed_fields():
-    with pytest.raises(ValueError, match="network has no field 'layers'"):
-        NetworkSpec.from_json_dict({})
-    with pytest.raises(ValueError, match="field 'layers' of network must be a list"):
-        NetworkSpec.from_json_dict({"layers": 5})
-    doc = NET.to_json_dict()
-    del doc["layers"][0]["neurons"][1]["weight_label"]
-    with pytest.raises(ValueError, match="neuron 1 of layer 0 has no field 'weight_label'"):
-        NetworkSpec.from_json_dict(doc)
-
-
-def test_network_spec_json_caps_qubits_before_building_the_weight():
-    # a weight_label over 2**40 entries would need 1 << (1 << 40) first
-    doc = NET.to_json_dict()
-    doc["layers"][0]["neurons"][1].update(qubits=list(range(40)), ancilla=40)
-    with pytest.raises(ValueError, match="neuron 1 of layer 0 lists 40 qubits, more than MAX_QUBITS=12"):
-        NetworkSpec.from_json_dict(doc)
-
-
-@pytest.mark.parametrize(
-    "field,edit",
-    [
-        ("weight_label", lambda doc: doc["layers"][0]["neurons"][0].update(weight_label=True)),
-        ("qubits", lambda doc: doc["layers"][0]["neurons"][0].update(qubits=[False, True])),
-        ("ancilla", lambda doc: doc["layers"][0]["neurons"][0].update(ancilla=True)),
-        ("weight_entries", lambda doc: doc["layers"][1]["neurons"][0].update(weight_entries=[True, -1])),
-        ("0", lambda doc: doc["synapses"][0].update({"0": [False, True]})),
-    ],
-    ids=["weight_label", "qubits", "ancilla", "weight_entries", "synapse_feeders"],
-)
-def test_network_spec_json_refuses_booleans_as_integers(field, edit):
-    # bool subclasses int in Python, so JSON true/false must be refused by name
-    doc = NET.to_json_dict()
-    edit(doc)
-    with pytest.raises(ValueError, match=f"field '{field}' of .* must be"):
-        NetworkSpec.from_json_dict(doc)
-
-
-@pytest.mark.parametrize(
-    "edit,message",
-    [
-        (dict(qubits=[-1, 0]), r"neuron 0 of layer 0: negative encoding qubit in \(-1, 0\)"),
-        (dict(ancilla=-4), "neuron 0 of layer 0: negative ancilla qubit -4"),
-    ],
-    ids=["qubits", "ancilla"],
-)
-def test_network_spec_json_refuses_negative_qubits_naming_the_neuron(edit, message):
-    doc = NET.to_json_dict()
-    doc["layers"][0]["neurons"][0].update(edit)
-    with pytest.raises(ValueError, match=message):
-        NetworkSpec.from_json_dict(doc)
-
-
-# JSON-like values whose dict keys are mostly the document's own field names,
-# so that random documents reach the nested fields
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 20) | st.integers() | st.floats() | st.text(max_size=4),
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(
-        st.sampled_from(["layers", "neurons", "synapses", "qubits", "ancilla", "weight_label", "weight_entries", "0", "1"])
-        | st.text(max_size=3),
-        children,
-        max_size=4,
-    ),
-    max_leaves=16,
-)
-
-
-@st.composite
-def mutated_documents(draw) -> dict:
-    """The line network's document with one subtree replaced by a random value."""
-    doc = NET.to_json_dict()
-    node = doc
-    while True:
-        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-        child = node[key]
-        if not isinstance(child, (dict, list)) or not child or draw(st.booleans()):
-            node[key] = draw(JSON_VALUES)
-            return doc
-        node = child
-
-
-@settings(max_examples=200, deadline=None)
-@given(JSON_VALUES | mutated_documents())
-def test_network_spec_json_parses_or_raises_value_error(doc):
-    try:
-        NetworkSpec.from_json_dict(doc)
-    except ValueError:
-        pass

@@ -352,3 +352,16 @@ def test_dimension_mismatch_raises():
         NeuronSpec(BinaryVector.from_label(0, 4), (0,), 1)
     with pytest.raises(ValueError):
         NeuronSpec(BinaryVector.from_label(0, 4), (0, 1), 1)
+
+
+@pytest.mark.parametrize(
+    "qubits,ancilla,message",
+    [
+        ((-1, 0), 2, r"negative encoding qubit in \(-1, 0\)"),
+        ((0, 1), -4, "negative ancilla qubit -4"),
+    ],
+    ids=["qubits", "ancilla"],
+)
+def test_neuron_spec_refuses_negative_qubits(qubits, ancilla, message):
+    with pytest.raises(ValueError, match=message):
+        NeuronSpec(BinaryVector.from_label(12, 4), qubits, ancilla)

@@ -252,6 +252,17 @@ def test_run_circuit_classical_control_correlates_bits():
     assert 0.4 < counts.counts["11"] / counts.total_shots < 0.6
 
 
+def test_run_circuit_takes_shots_in_the_int64_range():
+    circuit = Circuit(1, 1)
+    circuit.append(h(0))
+    circuit.measure(0, 0)
+    top = 2**63 - 1
+    assert run_circuit(circuit, top, np.random.default_rng(0)).total_shots == top
+    for shots in (0, top + 1):
+        with pytest.raises(ValueError, match="shots must lie in"):
+            run_circuit(circuit, shots, np.random.default_rng(0))
+
+
 def test_run_circuit_empty_circuit():
     counts = run_circuit(Circuit(1, 0), 100, np.random.default_rng(0))
     assert counts.counts == {"": 100}
