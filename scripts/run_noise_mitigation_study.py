@@ -23,7 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from qffnn.network import (
     hybrid_exact,
     line_recognition_network,
-    output_probability_from_vector,
+    output_probability,
     sampled_counts,
 )
 from qffnn.neuron import BinaryVector
@@ -39,8 +39,8 @@ def worst_deviations(p01: float, p10: float, shots: int, seed: int) -> dict:
         exact = hybrid_exact(net, vec).p_out
         rng = np.random.default_rng([seed, label])
         counts = noisy_counts(sampled_counts(net, vec, "hybrid", shots, rng), model, rng)
-        raw_worst = max(raw_worst, abs(counts.marginal_probability(0) - exact))
-        corrected = output_probability_from_vector(mitigate(counts, model))
+        raw_worst = max(raw_worst, abs(output_probability(counts) - exact))
+        corrected = output_probability(mitigate(counts, model))
         mitigated_worst = max(mitigated_worst, abs(corrected - exact))
     return {
         "p01": p01,

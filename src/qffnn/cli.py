@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .experiments import (
     ExperimentConfig,
+    check_run_options,
     conditional_sweep,
     dump_circuit_text,
     neuron_sweep,
@@ -21,6 +22,7 @@ from .experiments import (
     run_neuron_experiment,
     summarize_network_results,
 )
+from .network import DEFAULT_THRESHOLD
 
 
 def _parse_noise(value: str) -> tuple[float, float]:
@@ -46,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--mode", default="both", choices=("hybrid", "coherent", "both"))
     _add_common(p_net)
     p_net.add_argument("--weights", default=None, help="W1,W2[,W3]; label or colon-separated entries")
-    p_net.add_argument("--threshold", type=float, default=0.5)
+    p_net.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p_net.add_argument("--out", default=None, help="results file path")
     p_net.add_argument("--format", default="json", choices=("json", "csv"))
 
@@ -90,9 +92,10 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 
 def _cmd_neuron(args: argparse.Namespace) -> int:
+    check_run_options(args.evaluation, args.shots, args.seed, args.noise, args.mitigate)
     if args.sweep and args.conditional:
         raise ValueError("--sweep and --conditional exclude each other")
-    if (args.sweep or args.conditional) and (args.evaluation == "sampled" or args.noise is not None or args.mitigate):
+    if (args.sweep or args.conditional) and args.evaluation == "sampled":
         raise ValueError("--sweep and --conditional are exact: they take no --eval sampled, --noise or --mitigate")
     weight_m = None if ":" in args.weight else (2 if args.conditional else 4)
     weight = parse_weight(args.weight, m=weight_m)

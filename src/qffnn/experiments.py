@@ -23,6 +23,7 @@ import numpy as np
 
 from .circuit_text import format_circuit
 from .network import (
+    DEFAULT_THRESHOLD,
     LINE_WEIGHTS,
     Activations,
     NetworkSpec,
@@ -33,12 +34,12 @@ from .network import (
     feedforward_input,
     hybrid_exact,
     line_recognition_network,
-    output_probability_from_vector,
+    output_probability,
     sampled_counts,
 )
 from .neuron import BinaryVector, neuron_circuit, simulated_activation_probability
 from .noise import ReadoutErrorModel, mitigate, noisy_counts
-from .simulator import Counts, run_circuit
+from .simulator import MAX_SHOTS, run_circuit
 
 MODES = ("hybrid", "coherent", "both")
 EVALUATIONS = ("exact", "sampled")
@@ -106,8 +107,16 @@ def parse_weights_option(option: str | None) -> tuple[BinaryVector, BinaryVector
     return w1, w2, w3
 
 
-def _check_readout(evaluation: str, noise: tuple[float, float] | None, apply_mitigation: bool) -> None:
-    """Refuse readout options a run would ignore: noise needs sampling, mitigation needs noise."""
+def check_run_options(
+    evaluation: str, shots: int, seed: int, noise: tuple[float, float] | None, apply_mitigation: bool
+) -> None:
+    """Refuse shots outside 1..2**63 - 1 and a negative seed, whatever the
+    evaluation, and readout options a run would ignore: noise needs sampling,
+    mitigation needs noise."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"--shots must lie in 1..{MAX_SHOTS}, not {shots}")
+    if seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, not {seed}")
     if noise is not None:
         if evaluation != "sampled":
             raise ValueError("readout noise needs sampled evaluation")
@@ -126,7 +135,7 @@ class ExperimentConfig:
     mitigate: bool = False
     # immutable, so every configuration without --weights shares these three
     weights: tuple[BinaryVector, BinaryVector, BinaryVector] = LINE_WEIGHTS
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     format: str = "json"
 
     def __post_init__(self) -> None:
@@ -136,11 +145,9 @@ class ExperimentConfig:
             raise ValueError(f"evaluation must be one of {EVALUATIONS}")
         if self.format not in FORMATS:
             raise ValueError(f"format must be one of {FORMATS}")
-        if self.evaluation == "sampled" and self.shots < 1:
-            raise ValueError("sampled evaluation needs shots >= 1")
         if not 0.0 <= self.threshold <= 1.0:  # also refuses NaN
             raise ValueError(f"threshold must be a probability in [0, 1], not {self.threshold}")
-        _check_readout(self.evaluation, self.noise, self.mitigate)
+        check_run_options(self.evaluation, self.shots, self.seed, self.noise, self.mitigate)
 
     @property
     def modes(self) -> tuple[str, ...]:
@@ -168,16 +175,18 @@ class ExperimentConfig:
 
 
 def _estimate_sampled(
-    counts: Counts, noise: tuple[float, float] | None, apply_mitigation: bool, rng: np.random.Generator
+    counts: np.ndarray, noise: tuple[float, float] | None, apply_mitigation: bool, rng: np.random.Generator
 ) -> tuple[float, dict[str, int]]:
-    """Output-bit estimate from shot counts, read out through the noise model
-    and, when asked, mitigated; returned with the counts as read out."""
+    """Output-bit estimate from a count vector, read out through the noise
+    model and, when asked, mitigated; returned with the read counts keyed by
+    bitstring (classical bit 0 rightmost) for the results document."""
     if noise is not None:
         model = ReadoutErrorModel(*noise)
         counts = noisy_counts(counts, model, rng)
-        if apply_mitigation:
-            return output_probability_from_vector(mitigate(counts, model)), dict(counts.counts)
-    return counts.marginal_probability(0), dict(counts.counts)
+    # check_run_options lets mitigation through only with noise
+    p = output_probability(mitigate(counts, model) if apply_mitigation else counts)
+    width = counts.size.bit_length() - 1
+    return p, {format(k, f"0{width}b"): int(counts[k]) for k in np.flatnonzero(counts).tolist()}
 
 
 def _evaluate_label(config: ExperimentConfig, net: NetworkSpec, label: int, activations: Activations) -> dict:
@@ -278,7 +287,7 @@ def run_neuron_experiment(
     apply_mitigation: bool = False,
 ) -> dict:
     """Single-node activation report; sampled mode also returns shot counts."""
-    _check_readout(evaluation, noise, apply_mitigation)
+    check_run_options(evaluation, shots, seed, noise, apply_mitigation)
     report: dict = {
         "input_label": input_vec.label(),
         "weight_label": weight.label(),

@@ -25,7 +25,8 @@ mode therefore covers exactly the networks the combined circuit covers;
 other topologies run through ``hybrid_exact`` only.
 
 Classical bit layout of sampled circuits: bit 0 carries the network output,
-bits 1..l hold the hidden-node outcomes in layer order.
+bits 1..l hold the hidden-node outcomes in layer order; ``output_probability``
+reads bit 0 from a law or a count vector indexed by bit pattern.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .simulator import (
     LAW_ATOL,
     MAX_QUBITS,
     Circuit,
-    Counts,
     MeasureOp,
     defer_measurements,
     h,
@@ -221,7 +221,7 @@ def hybrid_exact(
         raise UnsupportedTopology("feed-forward execution needs at least two layers")
     net.output_neuron  # validates single output node
     *_, law = _layer_laws(net, input_vec, {} if activations is None else activations)
-    return _result(input_vec, float(law[1]), "hybrid")
+    return _result(input_vec, output_probability(law), "hybrid")
 
 
 def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
@@ -297,9 +297,9 @@ def sampled_counts(
     mode: str,
     shots: int,
     rng: np.random.Generator,
-) -> Counts:
-    """Raw shot counts of the combined circuit for either mode; the noise and
-    mitigation pipeline operates on these before estimating the output."""
+) -> np.ndarray:
+    """Raw shot counts of the combined circuit for either mode, indexed by bit
+    pattern; the noise and mitigation pipeline reads out and estimates these."""
     if mode == "hybrid":
         return run_circuit(build_hybrid_circuit(net, input_vec), shots, rng)
     if mode == "coherent":
@@ -307,8 +307,9 @@ def sampled_counts(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def output_probability_from_vector(probabilities: np.ndarray) -> float:
-    """Output-bit marginal of a distribution over classical bit patterns
-    (classical bit 0, the output, is the least significant index bit)."""
-    idx = np.arange(probabilities.size)
-    return float(probabilities[idx & 1 == 1].sum())
+def output_probability(vector: np.ndarray) -> float:
+    """Probability that classical bit 0, the output, reads 1: the float sum of
+    a law's odd entries, or a count vector's odd entries over its total, exact."""
+    if vector.dtype.kind == "f":
+        return float(vector[1::2].sum())
+    return int(vector[1::2].sum()) / int(vector.sum())

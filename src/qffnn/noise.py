@@ -5,10 +5,10 @@ is read as 1 with probability p01, a true 1 as 0 with probability p10.  The
 flips corrupt only what is recorded; classically controlled gates keep acting
 on the true measurement outcomes, so over b bits the observed distribution is
 the b-fold tensor power of the single-bit confusion matrix applied to the
-ideal one.  ``mitigate(counts, model)`` takes b from the counts, builds that
-matrix and solves for the ideal distribution, which linear inversion recovers
-in the many-shot limit.  Negative entries of the solution (pure sampling
-noise) are clipped and the vector renormalized.
+ideal one.  ``mitigate(counts, model)`` takes b from the length of the count
+vector, builds that matrix and solves for the ideal distribution, which
+linear inversion recovers in the many-shot limit.  Negative entries of the
+solution (pure sampling noise) are clipped and the vector renormalized.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .simulator import Counts
 
 MAX_CALIBRATION_BITS = 8
 
@@ -51,38 +49,30 @@ def build_calibration(model: ReadoutErrorModel, num_bits: int) -> np.ndarray:
     return matrix
 
 
-def noisy_counts(counts: Counts, model: ReadoutErrorModel, rng: np.random.Generator) -> Counts:
-    """Pass aggregated counts through the readout channel.  Shots sharing a
-    true bit pattern are multinomially redistributed over the read patterns,
-    which is distribution-identical to flipping each shot's bits one by one."""
-    num_bits = counts.num_clbits()
+def noisy_counts(counts: np.ndarray, model: ReadoutErrorModel, rng: np.random.Generator) -> np.ndarray:
+    """Pass a count vector through the readout channel: the shots of each true
+    pattern, in increasing order, are multinomially redistributed over the read
+    patterns, which is distribution-identical to flipping bits shot by shot."""
+    num_bits = counts.size.bit_length() - 1
     if num_bits == 0:
         return counts
     cal = build_calibration(model, num_bits)
-    noisy: dict[str, int] = {}
-    for key, cnt in sorted(counts.counts.items()):
-        drawn = rng.multinomial(cnt, cal[:, int(key, 2)])
-        for value, c in enumerate(drawn):
-            if c:
-                read = format(value, f"0{num_bits}b")
-                noisy[read] = noisy.get(read, 0) + int(c)
-    return Counts(noisy, counts.total_shots)
+    noisy = np.zeros_like(counts)
+    for pattern in np.flatnonzero(counts):
+        noisy += rng.multinomial(counts[pattern], cal[:, pattern])
+    return noisy
 
 
-def mitigate(counts: Counts, model: ReadoutErrorModel) -> np.ndarray:
-    """Invert the readout channel on the empirical frequencies of ``counts``.
-
-    Returns a probability vector over all 2**b bit patterns of the counts'
-    width b, indexed by the integer value of the pattern (classical bit 0
-    least significant).
-    """
-    num_bits = counts.num_clbits()
+def mitigate(counts: np.ndarray, model: ReadoutErrorModel) -> np.ndarray:
+    """Invert the readout channel on the empirical frequencies of ``counts``;
+    returns a probability vector indexed the same way."""
+    num_bits = counts.size.bit_length() - 1
     # exact for a tensor power, and unlike the determinant of a
     # well-conditioned 2**b matrix it does not underflow to 0
     cond = np.linalg.cond(model.confusion_matrix()) ** num_bits
     if not cond < 1.0 / np.finfo(float).eps:
         raise ValueError(f"calibration matrix is singular to working precision (condition number {cond:.3g})")
-    solved = np.linalg.solve(build_calibration(model, num_bits), counts.probability_vector())
+    solved = np.linalg.solve(build_calibration(model, num_bits), counts / counts.sum())
     clipped = np.clip(solved, 0.0, None)
     total = clipped.sum()
     if total <= 0.0:

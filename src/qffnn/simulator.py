@@ -5,9 +5,8 @@ Conventions used throughout the package:
 - Basis index ``j`` encodes qubit ``k`` as bit ``k`` of ``j``; qubit 0 is the
   least significant bit.  An ``n``-qubit state is a complex array of length
   ``2**n`` indexed by ``j``.
-- Classical bitstrings (``Counts`` keys, the keys returned by
-  ``run_circuit_exact``) are written most-significant-bit first, so classical
-  bit 0 is the rightmost character.
+- Outcome laws and shot counts are vectors of length ``2**num_clbits``
+  indexed the same way: index bit ``k`` is classical bit ``k``.
 - Gates are unitary and never renormalize; measurements collapse and
   renormalize.  Multi-controlled gates act natively on the statevector, no
   decomposition into elementary gates is performed.
@@ -47,7 +46,7 @@ MAX_BRANCHES = 8192
 # how far the exact outcome law may sum from 1 before sampling from it
 LAW_ATOL = 1e-9
 # run_circuit's multinomial draw counts shots in an int64
-_MAX_SHOTS = int(np.iinfo(np.int64).max)
+MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 GATE_KINDS = ("H", "X", "Z", "CZ", "MCZ", "MCX")
 DIAGONAL_KINDS = frozenset({"Z", "CZ", "MCZ"})
@@ -222,44 +221,6 @@ def defer_measurements(circuit: Circuit) -> Circuit:
     return Circuit(circuit.num_qubits, circuit.num_clbits, gates + measures)
 
 
-@dataclass
-class Counts:
-    """Aggregated shot outcomes: bitstring (MSB first) -> occurrence count."""
-
-    counts: dict[str, int]
-    total_shots: int
-
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.counts.values()):
-            raise ValueError("negative count")
-        if sum(self.counts.values()) != self.total_shots:
-            raise ValueError("counts do not sum to total_shots")
-        widths = {len(k) for k in self.counts}
-        if len(widths) > 1:
-            raise ValueError("inconsistent bitstring widths")
-
-    def num_clbits(self) -> int:
-        return len(next(iter(self.counts))) if self.counts else 0
-
-    def probability_vector(self) -> np.ndarray:
-        """Empirical distribution over all 2**num_clbits() outcomes, indexed by
-        the integer value of the bitstring (clbit 0 = least significant)."""
-        vec = np.zeros(1 << self.num_clbits())
-        for key, cnt in self.counts.items():
-            vec[int(key, 2) if key else 0] += cnt
-        return vec / self.total_shots
-
-    def marginal_probability(self, clbit: int, value: int = 1) -> float:
-        """Fraction of shots where the given classical bit reads ``value``."""
-        if not 0 <= clbit < self.num_clbits():
-            raise ValueError(f"classical bit {clbit} out of range for {self.num_clbits()}-bit counts")
-        hits = 0
-        for key, cnt in self.counts.items():
-            if int(key[len(key) - 1 - clbit]) == value:
-                hits += cnt
-        return hits / self.total_shots
-
-
 # ---------------------------------------------------------------------------
 # gate kernel
 
@@ -368,11 +329,7 @@ def reduced_density_matrix(amps: np.ndarray, keep: int) -> np.ndarray:
     return rho
 
 
-def _bits_to_key(bits: Sequence[int], num_clbits: int) -> str:
-    return "".join(str(int(bits[k])) for k in reversed(range(num_clbits)))
-
-
-def run_circuit(circuit: Circuit, shots: int, rng: np.random.Generator) -> Counts:
+def run_circuit(circuit: Circuit, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Sample ``shots`` independent executions of ``circuit``.
 
     Each shot starts in |0...0> with all classical bits 0; ops run in order,
@@ -380,34 +337,37 @@ def run_circuit(circuit: Circuit, shots: int, rng: np.random.Generator) -> Count
     conditioned gate fires only on shots whose referenced bit matches.  Shots
     are i.i.d., so the counts are one multinomial draw over the exact outcome
     law of ``run_circuit_exact`` (which raises ``ValueError`` past
-    ``MAX_BRANCHES`` branches).  Outcomes are drawn in sorted key order, so a
-    seeded ``rng`` gives the same counts on every run; outcomes drawn zero
-    times are left out.  ``shots`` must lie in 1..2**63 - 1.
+    ``MAX_BRANCHES`` branches) in index order, returned as an int64 vector
+    indexed like that law; a seeded ``rng`` gives the same counts on every
+    run.  ``shots`` must lie in 1..2**63 - 1.
     """
-    if not 1 <= shots <= _MAX_SHOTS:
-        raise ValueError(f"shots must lie in 1..{_MAX_SHOTS}, not {shots}")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in 1..{MAX_SHOTS}, not {shots}")
     law = run_circuit_exact(circuit)
-    keys = sorted(law)
-    probs = np.array([law[k] for k in keys])
+    support = np.flatnonzero(law)
+    probs = law[support]
     total = float(probs.sum())
     if not abs(total - 1.0) <= LAW_ATOL:
         raise ValueError(f"outcome law sums to {total!r}, not 1 within {LAW_ATOL}")
-    draws = rng.multinomial(shots, probs / total)
-    return Counts({k: int(c) for k, c in zip(keys, draws) if c}, shots)
+    counts = np.zeros(law.size, dtype=np.int64)
+    counts[support] = rng.multinomial(shots, probs / total)
+    return counts
 
 
-def run_circuit_exact(circuit: Circuit) -> dict[str, float]:
-    """Exact distribution over classical outcomes, the shots->infinity limit of
-    ``run_circuit``.  Measurements are enumerated as branches, so mid-circuit
-    measurement feeding a classical condition is handled without Monte-Carlo
-    error.  A measurement that would leave more than ``MAX_BRANCHES`` branches
-    raises ``ValueError`` before their states are allocated."""
+def run_circuit_exact(circuit: Circuit) -> np.ndarray:
+    """Exact law of the classical outcomes, the shots->infinity limit of
+    ``run_circuit``, as a vector of length 2**num_clbits.  Measurements are
+    enumerated as branches, so mid-circuit measurement feeding a classical
+    condition is handled without Monte-Carlo error.  A measurement that would
+    leave more than ``MAX_BRANCHES`` branches raises ``ValueError`` before
+    their states are allocated."""
     circuit.validate()
-    n, nc = circuit.num_qubits, circuit.num_clbits
+    n = circuit.num_qubits
     basis = np.arange(1 << n)
     init = np.zeros(1 << n, dtype=complex)
     init[0] = 1.0
-    branches: list[tuple[np.ndarray, list[int], float]] = [(init, [0] * max(nc, 1), 1.0)]
+    # each branch: state, classical bits as a mask (bit k = clbit k), probability
+    branches: list[tuple[np.ndarray, int, float]] = [(init, 0, 1.0)]
     for op, cond in _fused(circuit.ops, n):
         if isinstance(op, MeasureOp):
             mask1 = (basis >> op.qubit) & 1 == 1
@@ -420,21 +380,18 @@ def run_circuit_exact(circuit: Circuit) -> dict[str, float]:
                     f"measuring qubit {op.qubit} would make {len(outcomes)} branches, "
                     f"more than MAX_BRANCHES={MAX_BRANCHES}"
                 )
-            split: list[tuple[np.ndarray, list[int], float]] = []
+            split: list[tuple[np.ndarray, int, float]] = []
             for (amps, bits, prob), outcome, p_sel in outcomes:
                 camps = amps.copy()
                 camps[mask1 != bool(outcome)] = 0.0
                 camps /= np.sqrt(p_sel)
-                cbits = bits.copy()
-                cbits[op.clbit] = outcome
-                split.append((camps, cbits, prob * p_sel))
+                split.append((camps, (bits & ~(1 << op.clbit)) | (outcome << op.clbit), prob * p_sel))
             branches = split
         else:
             for amps, bits, _ in branches:
-                if cond is None or bits[cond[0]] == cond[1]:
+                if cond is None or (bits >> cond[0]) & 1 == cond[1]:
                     _apply(amps, op, n)
-    dist: dict[str, float] = {}
+    law = np.zeros(1 << circuit.num_clbits)
     for _, bits, prob in branches:
-        key = _bits_to_key(bits, nc)
-        dist[key] = dist.get(key, 0.0) + prob
-    return dist
+        law[bits] += prob
+    return law

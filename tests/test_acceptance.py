@@ -18,7 +18,7 @@ from qffnn.network import (
     feedforward_input,
     hybrid_exact,
     line_recognition_network,
-    output_probability_from_vector,
+    output_probability,
     sampled_counts,
 )
 from qffnn.neuron import (
@@ -161,7 +161,7 @@ def test_criterion_09_sampled_statistics_and_verdicts():
         vec = BinaryVector.from_label(label, 4)
         exact = hybrid_exact(NET, vec).p_out
         counts = run_circuit(build_hybrid_circuit(NET, vec), shots, np.random.default_rng([2718, label]))
-        freq = counts.marginal_probability(0)
+        freq = output_probability(counts)
         sigma = np.sqrt(max(exact * (1.0 - exact), 0.0) / shots)
         assert abs(freq - exact) <= 5 * sigma + 1e-9, (label, freq, exact)
         assert (freq > 0.5) == (label in TARGETS), label
@@ -178,7 +178,7 @@ def test_criterion_10_noise_mitigation_round_trip():
         exact = hybrid_exact(NET, vec).p_out
         rng = np.random.default_rng([1618, label])
         counts = noisy_counts(sampled_counts(NET, vec, "hybrid", shots, rng), model, rng)
-        mitigated = output_probability_from_vector(mitigate(counts, model))
+        mitigated = output_probability(mitigate(counts, model))
         assert abs(mitigated - exact) < 0.02, (label, mitigated, exact)
         assert (mitigated > 0.5) == (label in TARGETS), label
 
@@ -189,6 +189,6 @@ def test_criterion_10_noise_mitigation_round_trip():
         exact = hybrid_exact(NET, vec).p_out
         rng = np.random.default_rng([1618, label])
         counts = noisy_counts(sampled_counts(NET, vec, "hybrid", shots, rng), harsh, rng)
-        deviations.append(abs(counts.marginal_probability(0) - exact))
+        deviations.append(abs(output_probability(counts) - exact))
     assert max(deviations) > 0.02
     _passed(10, f"mitigation recovers p_out within 0.02; raw noise off by up to {max(deviations):.3f}")

@@ -2,6 +2,7 @@
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,7 +46,7 @@ def test_round_trip_preserves_structure_and_statistics():
         assert parsed.num_qubits == circuit.num_qubits
         assert parsed.num_clbits == circuit.num_clbits
         assert parsed.ops == circuit.ops
-        assert run_circuit_exact(parsed) == run_circuit_exact(circuit)
+        assert np.array_equal(run_circuit_exact(parsed), run_circuit_exact(circuit))
 
 
 def test_parse_ignores_comments_and_blank_lines():

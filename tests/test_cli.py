@@ -139,8 +139,7 @@ def test_dump_circuit_round_trip(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "Z 6 if c1=1" in text and "Z 6 if c2=1" in text
     parsed = parse_circuit(text)
-    dist = run_circuit_exact(parsed)
-    p_out = sum(p for key, p in dist.items() if key[-1] == "1")
+    p_out = run_circuit_exact(parsed)[1::2].sum()  # classical bit 0 is the output
     assert abs(p_out - 0.375) < 1e-12
 
 
@@ -221,6 +220,12 @@ def test_sampled_neuron_report_keeps_its_bytes(capsys):
         # past the int64 range of the multinomial draw
         ["network", "--eval", "sampled", "--shots", "100000000000000000000"],
         ["neuron", "--eval", "sampled", "--shots", "100000000000000000000"],
+        # shots and seed are checked whatever the evaluation
+        ["network", "--eval", "exact", "--shots", "0"],
+        ["neuron", "--shots", "-5", "--seed", "-3"],
+        ["neuron", "--weight", "12", "--sweep", "--shots", "0"],
+        ["network", "--eval", "sampled", "--seed", "-1"],
+        ["neuron", "--eval", "sampled", "--seed", "-1"],
     ],
 )
 def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):

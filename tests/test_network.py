@@ -19,6 +19,7 @@ from qffnn.network import (
     feedforward_input,
     hybrid_exact,
     line_recognition_network,
+    output_probability,
     sampled_counts,
 )
 from qffnn.neuron import BinaryVector, NeuronSpec, activation_probability, simulated_activation_probability
@@ -54,9 +55,10 @@ def hidden_law(n: int) -> dict[tuple[int, int], float]:
     """Law of the hidden bits (clbits 1 and 2, keyed in node order) of the
     combined circuit on input n; outcomes of probability 0 are absent."""
     table: dict[tuple[int, int], float] = {}
-    for key, p in run_circuit_exact(build_hybrid_circuit(NET, label(n))).items():
-        bits = (int(key[-2]), int(key[-3]))
-        table[bits] = table.get(bits, 0.0) + p
+    law = run_circuit_exact(build_hybrid_circuit(NET, label(n)))
+    for pattern in np.flatnonzero(law).tolist():
+        bits = ((pattern >> 1) & 1, (pattern >> 2) & 1)
+        table[bits] = table.get(bits, 0.0) + law[pattern]
     return table
 
 
@@ -221,7 +223,7 @@ def test_hybrid_sampled_tracks_exact_values():
     shots = 10_000
     for n in (12, 6, 13):
         exact = hybrid_exact(NET, label(n)).p_out
-        p = sampled_counts(NET, label(n), "hybrid", shots, rng).marginal_probability(0)
+        p = output_probability(sampled_counts(NET, label(n), "hybrid", shots, rng))
         sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
         assert abs(p - exact) <= 5 * sigma + 1e-9
 
@@ -231,9 +233,19 @@ def test_coherent_sampled_tracks_exact_values():
     shots = 10_000
     for n in (10, 0, 1):
         exact = coherent_exact(NET, label(n)).p_out
-        p = sampled_counts(NET, label(n), "coherent", shots, rng).marginal_probability(0)
+        p = output_probability(sampled_counts(NET, label(n), "coherent", shots, rng))
         sigma = np.sqrt(max(exact * (1 - exact), 0.0) / shots)
         assert abs(p - exact) <= 5 * sigma + 1e-9
+
+
+def test_output_probability_reads_bit_0_of_laws_and_counts():
+    law = np.array([0.1, 0.2, 0.3, 0.4])
+    assert output_probability(law) == float(law[[1, 3]].sum())
+    # counts divide as Python ints, so the ratio is rounded once even past
+    # 2**53, where dividing the two sums as floats rounds three times
+    hits, misses = 1443950364469935044, 543804029693342781
+    assert float(hits) / float(hits + misses) != hits / (hits + misses)
+    assert output_probability(np.array([misses, hits])) == hits / (hits + misses)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from qffnn.network import line_recognition_network, sampled_counts
+from qffnn.experiments import ExperimentConfig, run_network_experiment
+from qffnn.network import line_recognition_network, output_probability, sampled_counts
 from qffnn.neuron import BinaryVector, neuron_circuit, simulated_activation_probability
 from qffnn.noise import MAX_CALIBRATION_BITS, ReadoutErrorModel, build_calibration, mitigate, noisy_counts
-from qffnn.simulator import Counts, run_circuit
+from qffnn.simulator import run_circuit
 
 
 def apply_readout_noise(
@@ -80,19 +81,19 @@ def test_symmetric_noise_commutes_with_global_flip():
 
 
 def test_noisy_counts_preserves_total_and_matches_channel():
-    counts = Counts({"000": 60_000, "111": 40_000}, 100_000)
+    counts = np.array([60_000, 0, 0, 0, 0, 0, 0, 40_000])
     model = ReadoutErrorModel(0.05, 0.03)
     noisy = noisy_counts(counts, model, np.random.default_rng(4))
-    assert noisy.total_shots == counts.total_shots
+    assert noisy.sum() == counts.sum()
     # every true-0 bit reads 1 with p01 = 0.05
-    p_read_one_bit0 = noisy.marginal_probability(0)
+    p_read_one_bit0 = output_probability(noisy)
     expected = 0.6 * 0.05 + 0.4 * 0.97
-    sigma = np.sqrt(expected * (1 - expected) / counts.total_shots)
+    sigma = np.sqrt(expected * (1 - expected) / counts.sum())
     assert abs(p_read_one_bit0 - expected) <= 5 * sigma
 
 
 def test_mitigate_with_identity_calibration_returns_frequencies():
-    counts = Counts({"00": 25, "01": 25, "10": 25, "11": 25}, 100)
+    counts = np.array([25, 25, 25, 25])
     assert np.allclose(mitigate(counts, ReadoutErrorModel(0.0, 0.0)), [0.25, 0.25, 0.25, 0.25])
 
 
@@ -105,7 +106,7 @@ def test_mitigation_inverts_the_channel_exactly_at_distribution_level():
 
 
 def test_mitigated_vector_is_a_distribution():
-    counts = Counts({"00": 90, "01": 4, "10": 4, "11": 2}, 100)
+    counts = np.array([90, 4, 4, 2])
     vec = mitigate(counts, ReadoutErrorModel(0.1, 0.08))
     assert vec.min() >= 0.0
     assert abs(vec.sum() - 1.0) < 1e-12
@@ -116,24 +117,27 @@ def test_mitigate_checks_the_condition_number_not_the_determinant():
     # condition number is only 10**7
     model = ReadoutErrorModel(0.45, 0.45)
     assert np.linalg.det(build_calibration(model, 7)) == 0.0
-    vec = mitigate(Counts({"0000000": 60, "1111111": 40}, 100), model)
+    counts = np.zeros(1 << 7, dtype=np.int64)
+    counts[0], counts[-1] = 60, 40
+    vec = mitigate(counts, model)
     assert vec.min() >= 0.0 and abs(vec.sum() - 1.0) < 1e-12
     # the largest valid rate: the confusion matrix's condition number is
     # about 3e16, past 1 / eps
     p = math.nextafter(0.5, 0.0)
     with pytest.raises(ValueError, match="singular.*condition number"):
-        mitigate(Counts({"0": 3, "1": 1}, 4), ReadoutErrorModel(p, p))
+        mitigate(np.array([3, 1]), ReadoutErrorModel(p, p))
 
 
-def dense_mitigation(counts: Counts, model: ReadoutErrorModel) -> np.ndarray:
+def dense_mitigation(counts: np.ndarray, model: ReadoutErrorModel) -> np.ndarray:
     """The mitigated vector rebuilt step by step: left-folded Kronecker power
-    of the confusion matrix, dense solve on the frequencies, clip, renormalize."""
-    num_bits = counts.num_clbits()
+    of the confusion matrix, dense solve on the frequencies (float counts over
+    the integer total), clip, renormalize."""
+    num_bits = counts.size.bit_length() - 1
     cal = reduce(np.kron, [model.confusion_matrix()] * num_bits)
     freq = np.zeros(1 << num_bits)
-    for key, cnt in counts.counts.items():
-        freq[int(key, 2)] += cnt
-    solved = np.clip(np.linalg.solve(cal, freq / counts.total_shots), 0.0, None)
+    for pattern, cnt in enumerate(counts.tolist()):
+        freq[pattern] += cnt
+    solved = np.clip(np.linalg.solve(cal, freq / sum(counts.tolist())), 0.0, None)
     return solved / solved.sum()
 
 
@@ -146,14 +150,15 @@ def test_mitigate_keeps_the_bytes_of_the_dense_solve(model, num_bits):
     rng = np.random.default_rng([17, num_bits])
     for _ in range(25):
         drawn = rng.multinomial(1000, rng.dirichlet(np.ones(1 << num_bits)))
-        counts = Counts({format(k, f"0{num_bits}b"): int(c) for k, c in enumerate(drawn) if c}, 1000)
-        assert mitigate(counts, model).tobytes() == dense_mitigation(counts, model).tobytes()
+        assert mitigate(drawn, model).tobytes() == dense_mitigation(drawn, model).tobytes()
 
 
 @pytest.mark.parametrize("num_bits", [0, MAX_CALIBRATION_BITS + 1])
 def test_mitigate_refuses_counts_outside_the_calibration_widths(num_bits):
+    counts = np.zeros(1 << num_bits, dtype=np.int64)
+    counts[-1] = 5
     with pytest.raises(ValueError, match="num_bits must be in"):
-        mitigate(Counts({"1" * num_bits: 5}, 5), ReadoutErrorModel(0.05, 0.03))
+        mitigate(counts, ReadoutErrorModel(0.05, 0.03))
 
 
 def test_single_neuron_noise_mitigation_round_trip():
@@ -175,16 +180,23 @@ def test_network_counts_noise_shifts_unmitigated_estimate():
     rng = np.random.default_rng(31)
     counts = sampled_counts(net, vec, "hybrid", 50_000, rng)
     noisy = noisy_counts(counts, model, rng)
-    assert noisy.marginal_probability(0) > 0.05  # raw estimate dragged off zero
-    corrected = mitigate(noisy, model)
-    from qffnn.network import output_probability_from_vector
-
-    assert output_probability_from_vector(corrected) < 0.02
+    assert output_probability(noisy) > 0.05  # raw estimate dragged off zero
+    assert output_probability(mitigate(noisy, model)) < 0.02
 
 
 def test_zero_width_counts_pass_through_the_channel_unchanged():
-    # a circuit without measurements gives "" keys: no bit to flip
-    counts = Counts({"": 5}, 5)
+    # a circuit without measurements gives one-entry counts: no bit to flip
     rng = np.random.default_rng(0)
-    assert noisy_counts(counts, ReadoutErrorModel(0.05, 0.03), rng) == Counts({"": 5}, 5)
-    assert counts.probability_vector().tolist() == [1.0]
+    assert noisy_counts(np.array([5]), ReadoutErrorModel(0.05, 0.03), rng).tolist() == [5]
+
+
+def test_noisy_counts_in_the_results_document_come_in_pattern_order():
+    # at two shots the channel can read a higher pattern from the first true
+    # pattern than from the second (label 1 reads 111 first, then 100); the
+    # results document still lists the read patterns in increasing order
+    config = ExperimentConfig(mode="hybrid", evaluation="sampled", shots=2, seed=0, noise=(0.3, 0.2))
+    doc, _ = run_network_experiment(config)
+    assert doc["rows"][1]["counts"]["hybrid"] == {"100": 1, "111": 1}
+    for row in doc["rows"]:
+        keys = list(row["counts"]["hybrid"])
+        assert keys == sorted(keys), row["label"]

@@ -1,6 +1,8 @@
 """End-to-end smoke tests of the two experiment scripts: each runs to exit 0,
-writes its results files, and writes them byte for byte again on a rerun."""
+writes its results files with the pinned digests, and writes them byte for
+byte again on a rerun."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,15 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# sha256 of each output at --shots 2000 and the default seed; byte-identical
+# output for a seed is a contract, so a change of these digests is a change
+# of the program's results
+OUTPUT_SHA256 = {
+    "results/line_classification_exact.json": "552540d485836563492b05a3a4a6cedac9b61eef879fb79cee8b5bbb444df09f",
+    "results/line_classification_sampled.json": "872657a904fed87b031d88078d53e09cd16c8e43d1d13d254f5d45107610eeca",
+    "results/line_classification_combined.json": "71b109b8763083ae5b4175d7eed121c3c9deb02d6eb636f7fea9b99302333a15",
+    "results/noise_study.json": "4dc7de4ccd25531487de0ee0164ff887edb51bac16b9ed02067a12dd747dc2ed",
+}
 
 
 def run_script(name: str, args: list[str], cwd: Path) -> None:
@@ -39,5 +50,8 @@ def run_script(name: str, args: list[str], cwd: Path) -> None:
 def test_script_runs_and_rewrites_identical_files(tmp_path, name, args, outputs):
     run_script(name, args, tmp_path)
     first = {out: (tmp_path / out).read_bytes() for out in outputs}
+    assert {out: hashlib.sha256(data).hexdigest() for out, data in first.items()} == {
+        out: OUTPUT_SHA256[out] for out in outputs
+    }
     run_script(name, args, tmp_path)
     assert {out: (tmp_path / out).read_bytes() for out in outputs} == first
