@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .experiments import (
+    DEFAULT_SHOTS,
     ExperimentConfig,
     check_run_options,
-    conditional_sweep,
     dump_circuit_text,
     neuron_sweep,
     parse_weight,
@@ -34,8 +35,8 @@ def _parse_noise(value: str) -> tuple[float, float]:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval", default="exact", choices=("exact", "sampled"), dest="evaluation")
-    parser.add_argument("--shots", type=int, default=8192)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--shots", type=int, default=None, help=f"default {DEFAULT_SHOTS}")
+    parser.add_argument("--seed", type=int, default=None, help="default 0")
     parser.add_argument("--noise", type=_parse_noise, default=None, metavar="P01,P10")
     parser.add_argument("--mitigate", action="store_true")
 
@@ -71,12 +72,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _shots_and_seed(args: argparse.Namespace) -> tuple[int, int]:
+    """``--shots`` and ``--seed``, or their defaults when left out (``None``);
+    exact evaluation draws no shots, so it refuses either option."""
+    for name in ("shots", "seed"):
+        if args.evaluation == "exact" and getattr(args, name) is not None:
+            raise ValueError(f"--{name} needs sampled evaluation")
+    return (DEFAULT_SHOTS if args.shots is None else args.shots, 0 if args.seed is None else args.seed)
+
+
 def _cmd_network(args: argparse.Namespace) -> int:
+    shots, seed = _shots_and_seed(args)
     config = ExperimentConfig(
         mode=args.mode,
         evaluation=args.evaluation,
-        shots=args.shots,
-        seed=args.seed,
+        shots=shots,
+        seed=seed,
         noise=args.noise,
         mitigate=args.mitigate,
         weights=parse_weights_option(args.weights),
@@ -92,28 +103,26 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 
 def _cmd_neuron(args: argparse.Namespace) -> int:
-    check_run_options(args.evaluation, args.shots, args.seed, args.noise, args.mitigate)
+    shots, seed = _shots_and_seed(args)
+    check_run_options(args.evaluation, shots, seed, args.noise, args.mitigate)
     if args.sweep and args.conditional:
         raise ValueError("--sweep and --conditional exclude each other")
     if (args.sweep or args.conditional) and args.evaluation == "sampled":
         raise ValueError("--sweep and --conditional are exact: they take no --eval sampled, --noise or --mitigate")
-    weight_m = None if ":" in args.weight else (2 if args.conditional else 4)
-    weight = parse_weight(args.weight, m=weight_m)
-    if args.conditional:
-        for row in conditional_sweep(weight):
-            print(f"[{row['bits']}]  p={row['p']:.6f}")
-        return 0
-    if args.sweep:
+    weight = parse_weight(args.weight, m=2 if args.conditional else 4)
+    if args.sweep or args.conditional:
+        # fed-forward bit k is entry k of the input: bit 0 rightmost, as in counts keys
         for row in neuron_sweep(weight):
-            print(f"{row['label']:>3}  {row['pattern']}  p={row['p']:.6f}")
+            head = f"[{row['label']:0{weight.m}b}]" if args.conditional else f"{row['label']:>3}  {row['pattern']}"
+            print(f"{head}  p={row['p']:.6f}")
         return 0
     input_vec = parse_weight(args.input, m=weight.m)
     report = run_neuron_experiment(
         input_vec,
         weight,
         evaluation=args.evaluation,
-        shots=args.shots,
-        seed=args.seed,
+        shots=shots,
+        seed=seed,
         noise=args.noise,
         apply_mitigation=args.mitigate,
     )
@@ -135,17 +144,22 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Exit 0 on success, 1 when the network verdicts
     miss the target set, 2 on a usage error, on input rejected with
     ``ValueError`` or on an ``--out`` file that cannot be written (``OSError``);
-    the last two are reported as one line on stderr."""
+    the last two are reported as one line on stderr.  Stdout closed early, as
+    by ``| head``, exits 141 (128 + SIGPIPE) without a message."""
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "network":
-            return _cmd_network(args)
-        if args.command == "neuron":
-            return _cmd_neuron(args)
-        if args.command == "dump-circuit":
-            return _cmd_dump(args)
-        print(render_pattern(args.label))
-        return 0
+        if args.command == "render":
+            print(render_pattern(args.label))
+            code = 0
+        else:
+            code = {"network": _cmd_network, "neuron": _cmd_neuron, "dump-circuit": _cmd_dump}[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: point stdout at devnull, so the
+        # flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:  # ValueError includes UnsupportedTopology
         print(f"qffnn: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2

@@ -17,7 +17,6 @@ import io
 import json
 import sys
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from .network import (
     build_hybrid_circuit,
     coherent_exact,
     coherent_measured_circuit,
-    feedforward_input,
     hybrid_exact,
     line_recognition_network,
     output_probability,
@@ -41,6 +39,7 @@ from .neuron import BinaryVector, neuron_circuit, simulated_activation_probabili
 from .noise import ReadoutErrorModel, mitigate, noisy_counts
 from .simulator import MAX_SHOTS, run_circuit
 
+DEFAULT_SHOTS = 8192
 MODES = ("hybrid", "coherent", "both")
 EVALUATIONS = ("exact", "sampled")
 FORMATS = ("json", "csv")
@@ -129,7 +128,7 @@ def check_run_options(
 class ExperimentConfig:
     mode: str = "both"
     evaluation: str = "exact"
-    shots: int = 8192
+    shots: int = DEFAULT_SHOTS
     seed: int = 0
     noise: tuple[float, float] | None = None
     mitigate: bool = False
@@ -281,7 +280,7 @@ def run_neuron_experiment(
     input_vec: BinaryVector,
     weight: BinaryVector,
     evaluation: str = "exact",
-    shots: int = 8192,
+    shots: int = DEFAULT_SHOTS,
     seed: int = 0,
     noise: tuple[float, float] | None = None,
     apply_mitigation: bool = False,
@@ -304,7 +303,8 @@ def run_neuron_experiment(
 
 
 def neuron_sweep(weight: BinaryVector) -> list[dict]:
-    """Activation of one node against every input label (bar-plot data)."""
+    """Activation of one node against every input label (bar-plot data).
+    Label L doubles as fed-forward bit pattern L: bit k set makes entry k -1."""
     rows = []
     for label in range(1 << weight.m):
         vec = BinaryVector.from_label(label, weight.m)
@@ -312,21 +312,6 @@ def neuron_sweep(weight: BinaryVector) -> list[dict]:
             {
                 "label": label,
                 "pattern": pattern_string(vec),
-                "p": simulated_activation_probability(vec, weight),
-            }
-        )
-    return rows
-
-
-def conditional_sweep(weight: BinaryVector) -> list[dict]:
-    """Activation of an output node for every fed-forward bit pattern of the
-    previous layer."""
-    rows = []
-    for bits in product((0, 1), repeat=weight.m):
-        vec = feedforward_input(bits)
-        rows.append(
-            {
-                "bits": "".join(map(str, bits)),
                 "p": simulated_activation_probability(vec, weight),
             }
         )

@@ -9,23 +9,22 @@ pass carries the law of each layer's measured bit pattern to the next layer,
 simulating every node once per distinct fed-forward input while its caller's
 activation table lives (one ``hybrid_exact`` call, or one line experiment).
 Each layer costs up to 2**(width of the layer before) times 2**(its own
-width), added across layers.  ``hybrid_exact`` reads the output law of a
-network of any depth from this pass.  Sampling needs the combined circuit,
-one circuit with mid-circuit measurement: it covers two-layer networks whose
-single-qubit output node is fed once by every hidden node and that fit in
-``MAX_QUBITS`` qubits, and ``sampled_counts`` draws from it.
+width), added across layers.  ``hybrid_exact`` reads the output law from this
+pass.  Sampling needs the combined circuit, one circuit with mid-circuit
+measurement, which ``sampled_counts`` draws from: it covers every network
+whose nodes sit on disjoint qubits within ``MAX_QUBITS``.
 
 Coherent mode: the same network as one circuit without mid-circuit
 measurement.  It is derived from the combined hybrid circuit by the
 deferred-measurement principle (``defer_measurements``): each classically
-conditioned phase flip of the output stage becomes a CZ from the hidden
-ancilla to the output qubit, and the output probability is read from the
-reduced density matrix of the qubit measured into classical bit 0.  Coherent
-mode therefore covers exactly the networks the combined circuit covers;
-other topologies run through ``hybrid_exact`` only.
+conditioned phase flip becomes a (multi-)controlled Z with the feeder's
+measured qubit as an extra control, and the output probability is read from
+the reduced density matrix of the qubit measured into classical bit 0.
+Coherent mode therefore covers exactly the networks the combined circuit
+covers.
 
-Classical bit layout of sampled circuits: bit 0 carries the network output,
-bits 1..l hold the hidden-node outcomes in layer order; ``output_probability``
+Classical bit layout of the combined circuit: bit 0 carries the network
+output, bits 1 and up the other nodes in layer order; ``output_probability``
 reads bit 0 from a law or a count vector indexed by bit pattern.
 """
 
@@ -39,6 +38,7 @@ import numpy as np
 from .neuron import (
     BinaryVector,
     NeuronSpec,
+    hypergraph_sign_synthesis,
     node_ops,
     simulated_activation_probability,
     weight_transform_ops,
@@ -54,7 +54,6 @@ from .simulator import (
     reduced_density_matrix,
     run_circuit,
     simulate_state,
-    z,
 )
 
 DEFAULT_THRESHOLD = 0.5
@@ -64,7 +63,7 @@ Activations = dict[tuple[BinaryVector, BinaryVector], float]
 
 
 class UnsupportedTopology(ValueError):
-    """Raised when an executor does not cover the requested network shape."""
+    """Raised when a network does not fit the combined circuit: shared or too many qubits."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +86,8 @@ class NetworkSpec:
 
     ``synapses[i][j]`` lists, in order, the indices of layer-i neurons feeding
     neuron j of layer i+1; a node on N qubits must be fed by exactly 2**N
-    nodes.  First-layer neurons all receive the raw input vector.
+    nodes.  First-layer neurons all receive the raw input vector.  A network
+    has at least two layers, and its last layer holds the one output node.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -98,12 +98,14 @@ class NetworkSpec:
         synapses = tuple(tuple(tuple(f) for f in layer_map) for layer_map in self.synapses)
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "synapses", synapses)
-        if not layers:
-            raise ValueError("network needs at least one layer")
+        if len(layers) < 2:
+            raise ValueError("a feed-forward network needs at least two layers")
+        if len(layers[-1].neurons) != 1:
+            raise ValueError("the last layer must hold exactly one output node")
         if len(synapses) != len(layers) - 1:
             raise ValueError("need one synapse map per non-input layer")
         for i, layer_map in enumerate(synapses):
-            prev, cur = layers[i], layers[i + 1]
+            cur = layers[i + 1]
             if len(layer_map) != len(cur.neurons):
                 raise ValueError(f"synapse map {i} must cover every neuron of layer {i + 1}")
             for j, feeders in enumerate(layer_map):
@@ -113,13 +115,11 @@ class NetworkSpec:
                         f"neuron {j} of layer {i + 1} encodes {spec.weight.m} inputs "
                         f"but is fed by {len(feeders)} nodes"
                     )
-                if any(not 0 <= f < len(prev.neurons) for f in feeders):
+                if any(not 0 <= f < len(layers[i].neurons) for f in feeders):
                     raise ValueError("synapse references a missing neuron")
 
     @property
     def output_neuron(self) -> NeuronSpec:
-        if len(self.layers[-1].neurons) != 1:
-            raise UnsupportedTopology("executors require a single output neuron")
         return self.layers[-1].neurons[0]
 
 
@@ -159,13 +159,6 @@ def feedforward_input(bits: Sequence[int]) -> BinaryVector:
     return BinaryVector(tuple(1 if b == 0 else -1 for b in bits))
 
 
-def _first_layer_inputs(net: NetworkSpec, input_vec: BinaryVector) -> list[BinaryVector]:
-    for spec in net.layers[0].neurons:
-        if spec.weight.m != input_vec.m:
-            raise ValueError("input length does not match first-layer node size")
-    return [input_vec] * len(net.layers[0].neurons)
-
-
 def activation(activations: Activations, vec: BinaryVector, weight: BinaryVector) -> float:
     """The activation of ``vec`` under ``weight``, simulated on its first lookup in ``activations``."""
     p = activations.get((vec, weight))
@@ -187,7 +180,10 @@ def _layer_laws(net: NetworkSpec, input_vec: BinaryVector, activations: Activati
             law = np.concatenate((law * (1.0 - p), law * p))
         return law
 
-    law = pattern_law(_first_layer_inputs(net, input_vec), net.layers[0].neurons)
+    first = net.layers[0].neurons
+    if any(spec.weight.m != input_vec.m for spec in first):
+        raise ValueError("input length does not match first-layer node size")
+    law = pattern_law([input_vec] * len(first), first)
     yield law
     for layer, layer_map in zip(net.layers[1:], net.synapses):
         next_law = np.zeros(1 << len(layer.neurons))
@@ -217,64 +213,57 @@ def hybrid_exact(
     """Exact output law of the hybrid network, read from the last law of the
     forward pass of any depth, through a fresh activation table per call
     unless the caller shares one in ``activations``."""
-    if len(net.layers) < 2:
-        raise UnsupportedTopology("feed-forward execution needs at least two layers")
-    net.output_neuron  # validates single output node
     *_, law = _layer_laws(net, input_vec, {} if activations is None else activations)
     return _result(input_vec, output_probability(law), "hybrid")
 
 
 def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
-    """One circuit for the whole hybrid run of a two-layer network whose
-    single-qubit output node is fed once by every hidden node: every hidden
-    node prepared, activated and measured mid-circuit, then the output qubit
-    prepared with a Hadamard plus one conditioned Z per hidden bit,
-    weight-transformed, and measured.  Classical bit 0 is the output, bit k
-    the k-th hidden node.  Raises ``UnsupportedTopology`` for other shapes
-    and for circuits wider than ``MAX_QUBITS``."""
-    if len(net.layers) != 2:
-        raise UnsupportedTopology("combined circuit construction covers two-layer networks")
-    out = net.output_neuron
-    if len(out.encoding_qubits) != 1:
-        raise UnsupportedTopology("output node must sit on a single qubit")
-    hidden = net.layers[0].neurons
-    feeders = net.synapses[0][0]
-    if len(feeders) != len(hidden) or sorted(feeders) != list(range(len(hidden))):
-        raise UnsupportedTopology("output node must be fed by every hidden node exactly once")
-    if any(spec.ancilla_qubit is None for spec in hidden):
-        raise UnsupportedTopology("hidden nodes need an ancilla")
-    qubits = [q for spec in hidden for q in spec.all_qubits] + list(out.all_qubits)
+    """One circuit for the whole hybrid run.  First-layer nodes are prepared
+    from ``input_vec``; a fed-forward node gets Hadamards and, for its k-th
+    feeder, the sign flip of basis index k conditioned on that feeder's bit,
+    then its weight transform and activation MCX.  Each layer is measured
+    after its nodes, on the ancilla or else the one encoding qubit; bit 0 is
+    the output, bits 1 and up the other nodes in layer order.  Raises
+    ``UnsupportedTopology`` when nodes share a qubit or need more than
+    ``MAX_QUBITS``."""
+    qubits = [q for layer in net.layers for spec in layer.neurons for q in spec.all_qubits]
     if len(set(qubits)) != len(qubits):
-        raise ValueError("qubit assignments overlap across layers")
-    if max(qubits) + 1 > MAX_QUBITS:
-        raise UnsupportedTopology(
-            f"combined circuit needs {max(qubits) + 1} qubits, more than MAX_QUBITS={MAX_QUBITS}"
-        )
-    _first_layer_inputs(net, input_vec)
-    fed = [hidden[f] for f in feeders]
-    out_qubit = out.encoding_qubits[0]
-    circuit = Circuit(max(qubits) + 1, len(fed) + 1)
-    for spec in fed:
-        circuit.extend(node_ops(input_vec, spec))
-    for k, spec in enumerate(fed, start=1):
-        circuit.measure(spec.ancilla_qubit, k)
-    circuit.append(h(out_qubit))
-    for k in range(1, len(fed) + 1):
-        circuit.append(z(out_qubit).conditioned_on(k, 1))
-    circuit.extend(weight_transform_ops(out.weight, out.encoding_qubits))
-    if out.ancilla_qubit is not None:
-        circuit.append(mcx(out.encoding_qubits, out.ancilla_qubit))
-        circuit.measure(out.ancilla_qubit, 0)
-    else:
-        circuit.measure(out_qubit, 0)
+        raise UnsupportedTopology("nodes share qubits; the combined circuit needs a register per node")
+    width = max(qubits) + 1
+    if width > MAX_QUBITS:
+        raise UnsupportedTopology(f"combined circuit needs {width} qubits, more than MAX_QUBITS={MAX_QUBITS}")
+    nodes = sum(len(layer.neurons) for layer in net.layers)
+    # the output, the last node, is bit 0; the others count up from bit 1
+    numbers = iter(range(1, nodes + 1))
+    bits = [[next(numbers) % nodes for _ in layer.neurons] for layer in net.layers]
+    circuit = Circuit(width, nodes)
+    for i, layer in enumerate(net.layers):
+        for j, spec in enumerate(layer.neurons):
+            if i == 0:
+                circuit.extend(node_ops(input_vec, spec))
+                continue
+            enc = spec.encoding_qubits
+            circuit.extend([h(q) for q in enc])
+            for k, f in enumerate(net.synapses[i - 1][j]):
+                # index 0's flip drops a global sign -1: a phase on one classical branch, after
+                # deferral a Z on the feeder's measured qubit, which is only a control from
+                # then on; so it commutes with every later gate and changes no outcome law
+                flip, _ = hypergraph_sign_synthesis(BinaryVector.from_label(1 << k, spec.weight.m), enc)
+                circuit.extend([gate.conditioned_on(bits[i - 1][f]) for gate in flip])
+            circuit.extend(weight_transform_ops(spec.weight, enc))
+            if spec.ancilla_qubit is not None:
+                circuit.append(mcx(enc, spec.ancilla_qubit))
+        for spec, clbit in zip(layer.neurons, bits[i]):
+            circuit.measure(spec.encoding_qubits[0] if spec.ancilla_qubit is None else spec.ancilla_qubit, clbit)
     return circuit
 
 
 def coherent_measured_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
     """Coherent form of the hybrid circuit: ``defer_measurements`` turns each
-    conditioned Z into a CZ from the hidden ancilla to the output qubit, and
-    only the end measurement of the output into classical bit 0 is kept;
-    hidden registers are left unmeasured."""
+    conditioned sign flip into a (multi-)controlled Z with the feeder's
+    measured qubit as an extra control, and only the end measurement of the
+    output into classical bit 0 is kept; the other registers are left
+    unmeasured."""
     circuit = defer_measurements(build_hybrid_circuit(net, input_vec))
     circuit.ops = [op for op in circuit.ops if not (isinstance(op, MeasureOp) and op.clbit)]
     circuit.num_clbits = 1

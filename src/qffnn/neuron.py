@@ -91,7 +91,7 @@ class NeuronSpec:
     """One node: weight vector plus its qubit assignment.
 
     ``ancilla_qubit`` is None for nodes read out directly on their encoding
-    qubit (only meaningful for single-qubit nodes, e.g. an output node).
+    qubit, which only single-qubit nodes can be.
     """
 
     weight: BinaryVector
@@ -107,6 +107,8 @@ class NeuronSpec:
             raise ValueError("duplicate encoding qubit")
         if any(q < 0 for q in qubits):
             raise ValueError(f"negative encoding qubit in {qubits}")
+        if self.ancilla_qubit is None and len(qubits) > 1:
+            raise ValueError(f"a node on {len(qubits)} qubits needs an ancilla to be read out")
         if self.ancilla_qubit is not None and self.ancilla_qubit < 0:
             raise ValueError(f"negative ancilla qubit {self.ancilla_qubit}")
         if self.ancilla_qubit is not None and self.ancilla_qubit in qubits:

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +66,34 @@ def test_neuron_conditional_sweep(capsys):
     assert "[01]  p=1.000000" in out
     assert "[10]  p=1.000000" in out
     assert "[11]  p=0.000000" in out
+    # fed-forward bit 0 is rightmost, as in the results document's counts keys:
+    # entry 3 of (1, 1, 1, -1) is -1, so the weight fires fully on bit 3 alone
+    main(["neuron", "--weight", "1:1:1:-1", "--conditional"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[1:5] for line in lines] == [f"{k:04b}" for k in range(16)]
+    assert [line[1:5] for line in lines if line.endswith("p=1.000000")] == ["0111", "1000"]
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_message(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qffnn", "neuron", "--weight", "1:1:1:-1", "--conditional"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
 
 
 def test_neuron_sampled_reports_counts(capsys):
@@ -226,6 +258,9 @@ def test_sampled_neuron_report_keeps_its_bytes(capsys):
         ["neuron", "--weight", "12", "--sweep", "--shots", "0"],
         ["network", "--eval", "sampled", "--seed", "-1"],
         ["neuron", "--eval", "sampled", "--seed", "-1"],
+        # exact evaluation draws no shots, so it takes neither option
+        ["network", "--eval", "exact", "--seed", "3"],
+        ["neuron", "--input", "13", "--weight", "12", "--shots", "100"],
     ],
 )
 def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):

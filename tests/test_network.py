@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qffnn.experiments import ExperimentConfig, run_network_experiment
 from qffnn.network import (
@@ -23,7 +25,15 @@ from qffnn.network import (
     sampled_counts,
 )
 from qffnn.neuron import BinaryVector, NeuronSpec, activation_probability, simulated_activation_probability
-from qffnn.simulator import LAW_ATOL, Circuit, GateOp, reduced_density_matrix, run_circuit_exact, simulate_state
+from qffnn.simulator import (
+    LAW_ATOL,
+    MAX_QUBITS,
+    Circuit,
+    GateOp,
+    reduced_density_matrix,
+    run_circuit_exact,
+    simulate_state,
+)
 from reference import marginal_probabilities
 
 ATOL = 1e-12
@@ -395,18 +405,92 @@ def test_network_past_the_qubit_cap_runs_only_through_the_forward_pass():
 
 
 def test_coherent_mode_rejects_deep_networks():
-    with pytest.raises(UnsupportedTopology):
+    # deep_network reuses qubits 0-3 across layers: the forward pass runs it,
+    # the combined circuit and so coherent mode cannot
+    with pytest.raises(UnsupportedTopology, match="share qubits"):
         coherent_exact(deep_network(), label(0))
-    with pytest.raises(UnsupportedTopology):
+    with pytest.raises(UnsupportedTopology, match="share qubits"):
         coherent_measured_circuit(deep_network(), label(0))
+    with pytest.raises(UnsupportedTopology, match="share qubits"):
+        sampled_counts(deep_network(), label(0), "hybrid", 100, np.random.default_rng(0))
+    assert abs(hybrid_exact(deep_network(), label(13)).p_out - brute_force_output_law(deep_network(), label(13))) < ATOL
 
 
 def test_build_hybrid_circuit_rejects_single_layer():
-    single = NetworkSpec((LayerSpec((NeuronSpec(label(12), (0, 1), 2),)),), ())
-    with pytest.raises(UnsupportedTopology):
-        hybrid_exact(single, label(0))
-    with pytest.raises(UnsupportedTopology):
-        build_hybrid_circuit(single, label(0))
+    with pytest.raises(ValueError, match="at least two layers"):
+        NetworkSpec((LayerSpec((NeuronSpec(label(12), (0, 1), 2),)),), ())
+
+
+def test_network_spec_refuses_more_than_one_output_node():
+    hidden = LayerSpec((NeuronSpec(label(12), (0, 1), 2), NeuronSpec(label(10), (3, 4), 5)))
+    out = LayerSpec((NeuronSpec(BinaryVector((1, -1)), (6,), None), NeuronSpec(BinaryVector((1, 1)), (7,), None)))
+    with pytest.raises(ValueError, match="exactly one output node"):
+        NetworkSpec((hidden, out), (((0, 1), (1, 0)),))
+
+
+def test_neuron_spec_refuses_a_multi_qubit_node_without_ancilla():
+    with pytest.raises(ValueError, match="needs an ancilla"):
+        NeuronSpec(label(12), (0, 1), None)
+
+
+def three_layer_network() -> NetworkSpec:
+    """4-2-1 network on all 12 qubits: a fed-forward m = 4 node with a
+    repeated feeder, a one-qubit node read without an ancilla, and a
+    one-qubit output read through one."""
+    first = LayerSpec((NeuronSpec(label(12), (0, 1), 2), NeuronSpec(label(1), (3, 4), 5)))
+    second = LayerSpec((NeuronSpec(label(1), (6, 7), 8), NeuronSpec(label(1, 2), (9,), None)))
+    out = LayerSpec((NeuronSpec(label(2, 2), (10,), 11),))
+    return NetworkSpec((first, second, out), (((0, 1, 1, 0), (0, 1)), ((0, 1),)))
+
+
+@pytest.mark.parametrize("mode,seed,inputs", [("hybrid", 44, (1, 3, 6)), ("coherent", 45, (12, 0, 14))])
+def test_three_layer_sampled_counts_track_the_forward_pass(mode, seed, inputs):
+    net, rng, shots = three_layer_network(), np.random.default_rng(seed), 10_000
+    for n in inputs:
+        exact = hybrid_exact(net, label(n)).p_out
+        assert 0.0 < exact < 1.0
+        p = output_probability(sampled_counts(net, label(n), mode, shots, rng))
+        sigma = np.sqrt(exact * (1 - exact) / shots)
+        assert abs(p - exact) <= 5 * sigma + 1e-9
+
+
+@st.composite
+def fitting_networks(draw) -> tuple[NetworkSpec, BinaryVector]:
+    """A network of depth 2 or 3 on disjoint qubits within MAX_QUBITS, with
+    an input: nodes on one or two encoding qubits (m = 2 or 4), feeders drawn
+    with repetition, one-qubit nodes read with or without an ancilla."""
+    depth = draw(st.integers(2, 3))
+    widths = [draw(st.integers(1, 3))] + [draw(st.integers(1, 2)) for _ in range(depth - 2)] + [1]
+    first_n = draw(st.integers(1, 2))
+    free, left = iter(range(MAX_QUBITS)), sum(widths)
+    layers, synapses, budget = [], [], MAX_QUBITS
+    for i, width in enumerate(widths):
+        specs, feeders = [], []
+        for _ in range(width):
+            left -= 1
+            spare = budget - left  # one qubit stays for every node after this one
+            n = first_n if i == 0 else draw(st.integers(1, 2 if spare >= 3 else 1))
+            ancilla = n == 2 or (spare > n and draw(st.booleans()))
+            budget -= n + ancilla
+            weight = label(draw(st.integers(0, (1 << (1 << n)) - 1)), 1 << n)
+            specs.append(NeuronSpec(weight, tuple(next(free) for _ in range(n)), next(free) if ancilla else None))
+            if i:
+                feeders.append(tuple(draw(st.lists(st.integers(0, widths[i - 1] - 1), min_size=1 << n, max_size=1 << n))))
+        layers.append(LayerSpec(tuple(specs)))
+        if i:
+            synapses.append(tuple(feeders))
+    vec = label(draw(st.integers(0, (1 << (1 << first_n)) - 1)), 1 << first_n)
+    return NetworkSpec(tuple(layers), tuple(synapses)), vec
+
+
+@settings(max_examples=100, deadline=None)
+@given(fitting_networks())
+def test_every_network_that_fits_runs_alike_in_all_three_forms(case):
+    net, vec = case
+    forward = hybrid_exact(net, vec).p_out
+    combined = output_probability(run_circuit_exact(build_hybrid_circuit(net, vec)))
+    assert abs(combined - forward) < ATOL
+    assert abs(coherent_exact(net, vec).p_out - forward) < ATOL
 
 
 def test_synapse_arity_is_validated():
