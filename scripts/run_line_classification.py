@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qffnn.experiments import (
+    DEFAULT_SHOTS,
     ExperimentConfig,
     results_to_json,
     run_network_experiment,
@@ -28,7 +29,7 @@ from qffnn.experiments import (
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--shots", type=int, default=8192)
+    parser.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--results-dir", default="results")
     args = parser.parse_args()

@@ -35,22 +35,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .neuron import (
-    BinaryVector,
-    NeuronSpec,
-    hypergraph_sign_synthesis,
-    node_ops,
-    simulated_activation_probability,
-    weight_transform_ops,
-)
+from .neuron import BinaryVector, NeuronSpec, hypergraph_sign_synthesis, node_ops, simulated_activation_probability
 from .simulator import (
     LAW_ATOL,
     MAX_QUBITS,
     Circuit,
     MeasureOp,
     defer_measurements,
-    h,
-    mcx,
     reduced_density_matrix,
     run_circuit,
     simulate_state,
@@ -72,12 +63,6 @@ class LayerSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neurons", tuple(self.neurons))
-        used: set[int] = set()
-        for spec in self.neurons:
-            overlap = used.intersection(spec.all_qubits)
-            if overlap:
-                raise ValueError(f"qubits {sorted(overlap)} assigned twice within a layer")
-            used.update(spec.all_qubits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,14 +203,13 @@ def hybrid_exact(
 
 
 def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
-    """One circuit for the whole hybrid run.  First-layer nodes are prepared
-    from ``input_vec``; a fed-forward node gets Hadamards and, for its k-th
-    feeder, the sign flip of basis index k conditioned on that feeder's bit,
-    then its weight transform and activation MCX.  Each layer is measured
-    after its nodes, on the ancilla or else the one encoding qubit; bit 0 is
-    the output, bits 1 and up the other nodes in layer order.  Raises
-    ``UnsupportedTopology`` when nodes share a qubit or need more than
-    ``MAX_QUBITS``."""
+    """One circuit for the whole hybrid run, every node built by ``node_ops``.
+    A first-layer node's sign flips prepare ``input_vec``; a fed-forward node
+    gets, for its k-th feeder, the sign flip of basis index k conditioned on
+    that feeder's bit.  Each layer is measured after its nodes, on the ancilla
+    or else the one encoding qubit; bit 0 is the output, bits 1 and up the
+    other nodes in layer order.  Raises ``UnsupportedTopology`` when nodes
+    share a qubit or need more than ``MAX_QUBITS``."""
     qubits = [q for layer in net.layers for spec in layer.neurons for q in spec.all_qubits]
     if len(set(qubits)) != len(qubits):
         raise UnsupportedTopology("nodes share qubits; the combined circuit needs a register per node")
@@ -239,20 +223,19 @@ def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
     circuit = Circuit(width, nodes)
     for i, layer in enumerate(net.layers):
         for j, spec in enumerate(layer.neurons):
-            if i == 0:
-                circuit.extend(node_ops(input_vec, spec))
-                continue
             enc = spec.encoding_qubits
-            circuit.extend([h(q) for q in enc])
-            for k, f in enumerate(net.synapses[i - 1][j]):
+            if i == 0:
+                flips, _ = hypergraph_sign_synthesis(input_vec, enc)
+            else:
                 # index 0's flip drops a global sign -1: a phase on one classical branch, after
                 # deferral a Z on the feeder's measured qubit, which is only a control from
                 # then on; so it commutes with every later gate and changes no outcome law
-                flip, _ = hypergraph_sign_synthesis(BinaryVector.from_label(1 << k, spec.weight.m), enc)
-                circuit.extend([gate.conditioned_on(bits[i - 1][f]) for gate in flip])
-            circuit.extend(weight_transform_ops(spec.weight, enc))
-            if spec.ancilla_qubit is not None:
-                circuit.append(mcx(enc, spec.ancilla_qubit))
+                flips = [
+                    gate.conditioned_on(bits[i - 1][f])
+                    for k, f in enumerate(net.synapses[i - 1][j])
+                    for gate in hypergraph_sign_synthesis(BinaryVector.from_label(1 << k, spec.weight.m), enc)[0]
+                ]
+            circuit.extend(node_ops(spec.weight, enc, flips, spec.ancilla_qubit))
         for spec, clbit in zip(layer.neurons, bits[i]):
             circuit.measure(spec.encoding_qubits[0] if spec.ancilla_qubit is None else spec.ancilla_qubit, clbit)
     return circuit

@@ -13,11 +13,12 @@ gates.  The simulator runs the same transform the other way to fold those
 gates back into one sign multiply.
 
 The weight stage reuses the same sign-flip synthesis followed by Hadamard and
-X on every encoding qubit; it maps the weight's own REW state onto |1...1>,
-so after input preparation and weight transform the amplitude on |1...1>
-equals the normalized overlap i.w/m.  A multi-controlled NOT copies that
-component onto an ancilla, whose excitation probability (i.w/m)**2 is the
-node's activation.
+X on every encoding qubit; it maps the weight's own REW state onto |1...1>.
+Every node is built by one recipe, ``node_ops``: Hadamards on its N qubits,
+the input's sign flips, the weight transform, so that the amplitude on
+|1...1> equals the normalized overlap i.w/m, then a multi-controlled NOT that
+copies that component onto an ancilla, whose excitation probability
+(i.w/m)**2 is the node's activation.  Only the sign flips depend on the input.
 
 Pattern labels: a length-m sign vector is identified with the integer whose
 bit k is 0 for entry +1 and 1 for entry -1; ``BinaryVector`` stores just m
@@ -157,13 +158,6 @@ def hypergraph_sign_synthesis(vec: BinaryVector, qubits: Sequence[int] | None = 
     return gates, global_sign
 
 
-def input_preparation_ops(vec: BinaryVector, qubits: Sequence[int] | None = None) -> list[GateOp]:
-    """Gates taking |0...0> to the REW state of ``vec`` (up to global sign):
-    Hadamard on every encoding qubit, then the sign-flip cascade."""
-    qubits = _register(vec, qubits)
-    return [h(q) for q in qubits] + hypergraph_sign_synthesis(vec, qubits)[0]
-
-
 def weight_transform_ops(vec: BinaryVector, qubits: Sequence[int] | None = None) -> list[GateOp]:
     """Gates mapping the REW state of ``vec`` onto |1...1> (up to global sign).
 
@@ -179,15 +173,18 @@ def weight_transform_ops(vec: BinaryVector, qubits: Sequence[int] | None = None)
     return gates + [h(q) for q in qubits] + [x(q) for q in qubits]
 
 
-def node_ops(input_vec: BinaryVector, spec: NeuronSpec) -> list[GateOp]:
-    """Full gate sequence of one node: input preparation, weight transform,
-    and (when an ancilla is assigned) the activation MCX."""
-    if input_vec.m != spec.weight.m:
-        raise ValueError("input length does not match weight length")
-    ops = input_preparation_ops(input_vec, spec.encoding_qubits)
-    ops += weight_transform_ops(spec.weight, spec.encoding_qubits)
-    if spec.ancilla_qubit is not None:
-        ops.append(mcx(spec.encoding_qubits, spec.ancilla_qubit))
+def node_ops(
+    weight: BinaryVector, qubits: Sequence[int], input_flips: list[GateOp], ancilla: int | None
+) -> list[GateOp]:
+    """The one recipe of every node on ``qubits``: Hadamards, then the input's
+    sign flips ``input_flips``, then the weight transform of ``weight``, then
+    the activation MCX onto ``ancilla`` unless it is None.  Only the flips
+    depend on the input: a first-layer node takes the HSGS cascade of the
+    input vector, a fed-forward node one-index flips conditioned on its
+    feeders' measured bits."""
+    ops = [h(q) for q in qubits] + input_flips + weight_transform_ops(weight, qubits)
+    if ancilla is not None:
+        ops.append(mcx(qubits, ancilla))
     return ops
 
 
@@ -195,11 +192,8 @@ def neuron_circuit(input_vec: BinaryVector, weight_vec: BinaryVector) -> Circuit
     """Standalone (N+1)-qubit node circuit with the ancilla measured into
     classical bit 0."""
     n = input_vec.num_qubits
-    spec = NeuronSpec(weight_vec, tuple(range(n)), n)
-    circuit = Circuit(n + 1, 1)
-    circuit.extend(node_ops(input_vec, spec))
-    circuit.measure(n, 0)
-    return circuit
+    flips, _ = hypergraph_sign_synthesis(input_vec)
+    return Circuit(n + 1, 1, node_ops(weight_vec, range(n), flips, n)).measure(n, 0)
 
 
 def activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) -> float:
@@ -212,12 +206,10 @@ def activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) ->
 
 def simulated_activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) -> float:
     """Activation computed by statevector simulation of the node's unitary part:
-    the Born weight of |1...1> after input preparation and weight transform."""
+    the Born weight of |1...1> after the node's gates up to, not including, the MCX."""
     if input_vec.m != weight_vec.m:
         raise ValueError("length mismatch")
     n = input_vec.num_qubits
-    circuit = Circuit(n)
-    circuit.extend(input_preparation_ops(input_vec))
-    circuit.extend(weight_transform_ops(weight_vec))
-    amps = simulate_state(circuit)
+    flips, _ = hypergraph_sign_synthesis(input_vec)
+    amps = simulate_state(Circuit(n, 0, node_ops(weight_vec, range(n), flips, None)))
     return float(abs(amps[input_vec.m - 1]) ** 2)

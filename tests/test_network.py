@@ -24,7 +24,15 @@ from qffnn.network import (
     output_probability,
     sampled_counts,
 )
-from qffnn.neuron import BinaryVector, NeuronSpec, activation_probability, simulated_activation_probability
+from qffnn.neuron import (
+    BinaryVector,
+    NeuronSpec,
+    activation_probability,
+    hypergraph_sign_synthesis,
+    neuron_circuit,
+    node_ops,
+    simulated_activation_probability,
+)
 from qffnn.simulator import (
     LAW_ATOL,
     MAX_QUBITS,
@@ -196,9 +204,8 @@ def test_coherent_circuit_structure():
 def test_coherent_circuit_op_count_bound():
     hidden_ops = 0
     for spec in NET.layers[0].neurons:
-        from qffnn.neuron import node_ops
-
-        hidden_ops += len(node_ops(label(0), spec))
+        flips, _ = hypergraph_sign_synthesis(label(0), spec.encoding_qubits)
+        hidden_ops += len(node_ops(spec.weight, spec.encoding_qubits, flips, spec.ancilla_qubit))
     gates = coherent_measured_circuit(NET, label(0)).ops[:-1]
     assert len(gates) <= hidden_ops + 1 + 2 + 1  # H, two CZ, output weight (one H)
 
@@ -500,14 +507,35 @@ def test_synapse_arity_is_validated():
         NetworkSpec((hidden, out), (((0,),),))
 
 
-def test_overlapping_qubits_within_a_layer_are_rejected():
-    with pytest.raises(ValueError):
-        LayerSpec((NeuronSpec(label(12), (0, 1), 2), NeuronSpec(label(10), (1, 3), 4)))
+def test_nodes_sharing_qubits_within_a_layer_run_only_through_hybrid_exact():
+    # the two hidden nodes share qubit 1: the forward pass never reads qubits,
+    # the combined circuit and so coherent mode need a register per node
+    hidden = LayerSpec((NeuronSpec(label(12), (0, 1), 2), NeuronSpec(label(10), (1, 3), 4)))
+    net = NetworkSpec((hidden, LayerSpec((NeuronSpec(BinaryVector((1, -1)), (6,), None),))), (((0, 1),),))
+    p1, p2 = activation_probability(label(13), label(12)), activation_probability(label(13), label(10))
+    p_out = hybrid_exact(net, label(13)).p_out
+    assert abs(p_out - (p1 * (1 - p2) + p2 * (1 - p1))) < ATOL and abs(p_out - 0.375) < ATOL
+    with pytest.raises(UnsupportedTopology, match="share qubits"):
+        build_hybrid_circuit(net, label(13))
+    with pytest.raises(UnsupportedTopology, match="share qubits"):
+        coherent_exact(net, label(13))
+    with pytest.raises(UnsupportedTopology, match="share qubits"):
+        sampled_counts(net, label(13), "coherent", 100, np.random.default_rng(0))
 
 
 def test_input_length_mismatch_is_rejected():
     with pytest.raises(ValueError):
         hybrid_exact(NET, BinaryVector.from_label(0, 8))
+
+
+@pytest.mark.parametrize("m", [2, 8])
+def test_every_circuit_builder_refuses_an_input_of_another_length(m):
+    # the register check of the sign synthesis and the weight transform is the
+    # only length check on these paths
+    with pytest.raises(ValueError, match="qubit count does not match vector length"):
+        build_hybrid_circuit(NET, label(0, m))
+    with pytest.raises(ValueError, match="qubit count does not match vector length"):
+        neuron_circuit(label(0, m), label(12))
 
 
 # ---------------------------------------------------------------------------

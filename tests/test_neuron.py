@@ -1,5 +1,5 @@
 """Perceptron node tests: labels, REW encoding, sign-flip synthesis, the
-input/weight circuit fragments, and the activation law."""
+weight transform, the node recipe, and the activation law."""
 
 import gc
 
@@ -13,13 +13,12 @@ from qffnn.neuron import (
     NeuronSpec,
     activation_probability,
     hypergraph_sign_synthesis,
-    input_preparation_ops,
     neuron_circuit,
     node_ops,
     simulated_activation_probability,
     weight_transform_ops,
 )
-from qffnn.simulator import Circuit, GateOp, h, run_circuit, simulate_state, z
+from qffnn.simulator import Circuit, GateOp, h, mcx, run_circuit, simulate_state, z
 from reference import marginal_probabilities, rew_amplitudes, run_gates
 
 ATOL = 1e-12
@@ -34,7 +33,9 @@ def uniform_state(num_qubits: int) -> np.ndarray:
 
 
 def prepared_state(vec: BinaryVector) -> np.ndarray:
-    return simulate_state(Circuit(vec.num_qubits).extend(input_preparation_ops(vec)))
+    """Hadamards on every qubit, then the sign-flip cascade: the input stage of a node."""
+    hadamards = [h(q) for q in range(vec.num_qubits)]
+    return simulate_state(Circuit(vec.num_qubits, 0, hadamards + hypergraph_sign_synthesis(vec)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +223,21 @@ def test_synthesis_double_application_restores_uniform(entries):
 
 
 # ---------------------------------------------------------------------------
-# input preparation and weight transform
+# input preparation, weight transform and the node recipe
 
 
-def test_input_preparation_of_label_0_is_hadamards_only():
-    ops = input_preparation_ops(BinaryVector.from_label(0, 4))
-    assert [op.kind for op in ops] == ["H", "H"]
+def test_node_ops_of_label_0_input_is_hadamards_then_the_weight_transform():
+    weight, qubits = BinaryVector.from_label(12, 4), (1, 2)
+    flips, _ = hypergraph_sign_synthesis(BinaryVector.from_label(0, 4), qubits)
+    assert node_ops(weight, qubits, flips, None) == [h(1), h(2)] + weight_transform_ops(weight, qubits)
+
+
+def test_node_ops_puts_the_input_flips_between_the_hadamards_and_the_weight_transform():
+    weight, qubits = BinaryVector.from_label(12, 4), (1, 2)
+    flips, _ = hypergraph_sign_synthesis(BinaryVector.from_label(6, 4), qubits)
+    assert flips
+    expected = [h(1), h(2)] + flips + weight_transform_ops(weight, qubits) + [mcx(qubits, 3)]
+    assert node_ops(weight, qubits, flips, 3) == expected
 
 
 def test_input_preparation_of_label_12_amplitudes():
@@ -274,8 +284,8 @@ def neuron_ancilla_probability(input_label: int, weight_label: int, m: int = 4) 
     input_vec = BinaryVector.from_label(input_label, m)
     weight_vec = BinaryVector.from_label(weight_label, m)
     n = input_vec.num_qubits
-    circuit = Circuit(n + 1)
-    circuit.extend(node_ops(input_vec, NeuronSpec(weight_vec, tuple(range(n)), n)))
+    flips, _ = hypergraph_sign_synthesis(input_vec)
+    circuit = Circuit(n + 1, 0, node_ops(weight_vec, range(n), flips, n))
     return float(marginal_probabilities(simulate_state(circuit), [n])[1])
 
 

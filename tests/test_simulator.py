@@ -202,11 +202,10 @@ def test_exact_probabilities_two_qubit_ones():
 
 def test_exact_probabilities_on_a_neuron_state():
     # input label 8 against weight label 12: overlap 2/4, so p(1) = 0.25
-    from qffnn.neuron import BinaryVector, NeuronSpec, node_ops
+    from qffnn.neuron import BinaryVector, hypergraph_sign_synthesis, node_ops
 
-    circuit = Circuit(3)
-    spec = NeuronSpec(BinaryVector.from_label(12, 4), (0, 1), 2)
-    circuit.extend(node_ops(BinaryVector.from_label(8, 4), spec))
+    flips, _ = hypergraph_sign_synthesis(BinaryVector.from_label(8, 4), (0, 1))
+    circuit = Circuit(3, 0, node_ops(BinaryVector.from_label(12, 4), (0, 1), flips, 2))
     table = marginal_probabilities(simulate_state(circuit), [2])
     assert abs(table[1] - 0.25) < ATOL
 
