@@ -8,11 +8,11 @@ import os
 import sys
 from pathlib import Path
 
+from .circuit_text import format_circuit
 from .experiments import (
     DEFAULT_SHOTS,
     ExperimentConfig,
     check_run_options,
-    dump_circuit_text,
     neuron_sweep,
     parse_weight,
     parse_weights_option,
@@ -23,7 +23,8 @@ from .experiments import (
     run_neuron_experiment,
     summarize_network_results,
 )
-from .network import DEFAULT_THRESHOLD
+from .network import DEFAULT_THRESHOLD, line_recognition_network, mode_circuit
+from .neuron import BinaryVector
 
 
 def _parse_noise(value: str) -> tuple[float, float]:
@@ -51,10 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_net.add_argument("--weights", default=None, help="W1,W2[,W3]; label or colon-separated entries")
     p_net.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     p_net.add_argument("--out", default=None, help="results file path")
-    p_net.add_argument("--format", default="json", choices=("json", "csv"))
+    p_net.add_argument("--format", default=None, choices=("json", "csv"), help="needs --out; default json")
 
     p_neu = sub.add_parser("neuron", help="single-node activation")
-    p_neu.add_argument("--input", default="0", help="input label or entries")
+    p_neu.add_argument("--input", default=None, help="input label or entries, default 0")
     p_neu.add_argument("--weight", default="12", help="weight label or entries")
     _add_common(p_neu)
     p_neu.add_argument("--sweep", action="store_true", help="iterate all input labels")
@@ -82,6 +83,8 @@ def _shots_and_seed(args: argparse.Namespace) -> tuple[int, int]:
 
 
 def _cmd_network(args: argparse.Namespace) -> int:
+    if args.format is not None and not args.out:
+        raise ValueError("--format needs --out")
     shots, seed = _shots_and_seed(args)
     config = ExperimentConfig(
         mode=args.mode,
@@ -92,11 +95,11 @@ def _cmd_network(args: argparse.Namespace) -> int:
         mitigate=args.mitigate,
         weights=parse_weights_option(args.weights),
         threshold=args.threshold,
-        format=args.format,
+        format=args.format or "json",
     )
     doc, exit_code = run_network_experiment(config)
     if args.out:
-        text = results_to_json(doc) if args.format == "json" else results_to_csv(doc)
+        text = results_to_json(doc) if config.format == "json" else results_to_csv(doc)
         Path(args.out).write_text(text)
     print(summarize_network_results(doc))
     return exit_code
@@ -107,8 +110,8 @@ def _cmd_neuron(args: argparse.Namespace) -> int:
     check_run_options(args.evaluation, shots, seed, args.noise, args.mitigate)
     if args.sweep and args.conditional:
         raise ValueError("--sweep and --conditional exclude each other")
-    if (args.sweep or args.conditional) and args.evaluation == "sampled":
-        raise ValueError("--sweep and --conditional are exact: they take no --eval sampled, --noise or --mitigate")
+    if (args.sweep or args.conditional) and (args.evaluation == "sampled" or args.input is not None):
+        raise ValueError("--sweep and --conditional run every input exactly: they take no --input, --eval sampled, --noise or --mitigate")
     weight = parse_weight(args.weight, m=2 if args.conditional else 4)
     if args.sweep or args.conditional:
         # fed-forward bit k is entry k of the input: bit 0 rightmost, as in counts keys
@@ -116,7 +119,7 @@ def _cmd_neuron(args: argparse.Namespace) -> int:
             head = f"[{row['label']:0{weight.m}b}]" if args.conditional else f"{row['label']:>3}  {row['pattern']}"
             print(f"{head}  p={row['p']:.6f}")
         return 0
-    input_vec = parse_weight(args.input, m=weight.m)
+    input_vec = parse_weight("0" if args.input is None else args.input, m=weight.m)
     report = run_neuron_experiment(
         input_vec,
         weight,
@@ -131,8 +134,8 @@ def _cmd_neuron(args: argparse.Namespace) -> int:
 
 
 def _cmd_dump(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(mode=args.mode, weights=parse_weights_option(args.weights))
-    text = dump_circuit_text(config, args.input)
+    net = line_recognition_network(*parse_weights_option(args.weights))
+    text = format_circuit(mode_circuit(net, BinaryVector.from_label(args.input, 4), args.mode))
     if args.out:
         Path(args.out).write_text(text)
     else:

@@ -20,16 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit_text import format_circuit
 from .network import (
     DEFAULT_THRESHOLD,
     LINE_WEIGHTS,
     Activations,
     NetworkSpec,
     activation,
-    build_hybrid_circuit,
     coherent_exact,
-    coherent_measured_circuit,
     hybrid_exact,
     line_recognition_network,
     output_probability,
@@ -316,16 +313,3 @@ def neuron_sweep(weight: BinaryVector) -> list[dict]:
             }
         )
     return rows
-
-
-def dump_circuit_text(config: ExperimentConfig, input_label: int) -> str:
-    """Gate listing of the combined circuit for one input, hybrid or coherent."""
-    if config.mode == "both":
-        raise ValueError("dump-circuit needs a single mode")
-    net = config.network()
-    vec = BinaryVector.from_label(input_label, config.weights[0].m)
-    if config.mode == "hybrid":
-        circuit = build_hybrid_circuit(net, vec)
-    else:
-        circuit = coherent_measured_circuit(net, vec)
-    return format_circuit(circuit)

@@ -9,7 +9,8 @@ pass carries the law of each layer's measured bit pattern to the next layer,
 simulating every node once per distinct fed-forward input while its caller's
 activation table lives (one ``hybrid_exact`` call, or one line experiment).
 Each layer costs up to 2**(width of the layer before) times 2**(its own
-width), added across layers.  ``hybrid_exact`` reads the output law from this
+width), added across layers; a layer of over 13 nodes (``MAX_BRANCHES``
+patterns) is refused first.  ``hybrid_exact`` reads the output law from this
 pass.  Sampling needs the combined circuit, one circuit with mid-circuit
 measurement, which ``sampled_counts`` draws from: it covers every network
 whose nodes sit on disjoint qubits within ``MAX_QUBITS``.
@@ -38,6 +39,7 @@ import numpy as np
 from .neuron import BinaryVector, NeuronSpec, hypergraph_sign_synthesis, node_ops, simulated_activation_probability
 from .simulator import (
     LAW_ATOL,
+    MAX_BRANCHES,
     MAX_QUBITS,
     Circuit,
     MeasureOp,
@@ -168,6 +170,9 @@ def _layer_laws(net: NetworkSpec, input_vec: BinaryVector, activations: Activati
     first = net.layers[0].neurons
     if any(spec.weight.m != input_vec.m for spec in first):
         raise ValueError("input length does not match first-layer node size")
+    width = max(len(layer.neurons) for layer in net.layers)
+    if 1 << width > MAX_BRANCHES:
+        raise ValueError(f"a layer of {width} nodes has more than MAX_BRANCHES={MAX_BRANCHES} bit patterns")
     law = pattern_law([input_vec] * len(first), first)
     yield law
     for layer, layer_map in zip(net.layers[1:], net.synapses):
@@ -235,7 +240,7 @@ def build_hybrid_circuit(net: NetworkSpec, input_vec: BinaryVector) -> Circuit:
                     for k, f in enumerate(net.synapses[i - 1][j])
                     for gate in hypergraph_sign_synthesis(BinaryVector.from_label(1 << k, spec.weight.m), enc)[0]
                 ]
-            circuit.extend(node_ops(spec.weight, enc, flips, spec.ancilla_qubit))
+            circuit.append(*node_ops(spec.weight, enc, flips, spec.ancilla_qubit))
         for spec, clbit in zip(layer.neurons, bits[i]):
             circuit.measure(spec.encoding_qubits[0] if spec.ancilla_qubit is None else spec.ancilla_qubit, clbit)
     return circuit
@@ -263,6 +268,15 @@ def coherent_exact(net: NetworkSpec, input_vec: BinaryVector) -> RunResult:
     return _result(input_vec, float(rho[1, 1].real), "coherent")
 
 
+def mode_circuit(net: NetworkSpec, input_vec: BinaryVector, mode: str) -> Circuit:
+    """The circuit a mode runs: the combined hybrid circuit, or its coherent form."""
+    if mode == "hybrid":
+        return build_hybrid_circuit(net, input_vec)
+    if mode == "coherent":
+        return coherent_measured_circuit(net, input_vec)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
 def sampled_counts(
     net: NetworkSpec,
     input_vec: BinaryVector,
@@ -270,13 +284,9 @@ def sampled_counts(
     shots: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Raw shot counts of the combined circuit for either mode, indexed by bit
-    pattern; the noise and mitigation pipeline reads out and estimates these."""
-    if mode == "hybrid":
-        return run_circuit(build_hybrid_circuit(net, input_vec), shots, rng)
-    if mode == "coherent":
-        return run_circuit(coherent_measured_circuit(net, input_vec), shots, rng)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Raw shot counts of the mode's circuit, indexed by bit pattern; the
+    noise and mitigation pipeline reads out and estimates these."""
+    return run_circuit(mode_circuit(net, input_vec, mode), shots, rng)
 
 
 def output_probability(vector: np.ndarray) -> float:

@@ -14,13 +14,13 @@ Conventions used throughout the package:
 Supported gates: H, X, Z, CZ, MCZ (phase flip where every participating qubit
 is 1) and MCX (NOT on the target where every control is 1).
 
-Both engines check the circuit (``Circuit.validate`` caps both registers at
-``MAX_QUBITS``) before they allocate a state.  They apply H, X and MCX with
-``_apply_gate_kernel`` and fold each run of Z, CZ and MCZ gates under one
-classical condition into a multiply by its +-1 diagonal, found with
-``subset_xor_transform``.  ``simulate_state`` returns the amplitudes of a
-unitary circuit.  ``run_circuit_exact`` enumerates every measurement outcome
-as a branch with its probability, at most ``MAX_BRANCHES`` at a time.
+One branch loop is the engine.  It checks the circuit (``Circuit.validate``
+caps both registers at ``MAX_QUBITS``) before it allocates a state, applies
+H, X and MCX with ``_apply_gate_kernel``, folds each run of Z, CZ and MCZ
+gates under one classical condition into a multiply by its +-1 diagonal
+(``subset_xor_transform``), and splits on each measurement into a branch per
+outcome, at most ``MAX_BRANCHES``.  ``simulate_state`` returns the one branch
+of a unitary circuit; ``run_circuit_exact`` sums the branches into the law.
 ``run_circuit`` samples shots as one multinomial draw from that exact law;
 shots are i.i.d., so the counts follow the same distribution as running each
 shot on its own.
@@ -142,10 +142,6 @@ class Circuit:
     ops: list[CircuitOp] = field(default_factory=list)
 
     def append(self, *ops: CircuitOp) -> "Circuit":
-        self.ops.extend(ops)
-        return self
-
-    def extend(self, ops: Sequence[CircuitOp]) -> "Circuit":
         self.ops.extend(ops)
         return self
 
@@ -290,23 +286,51 @@ def _fused(ops: Sequence[CircuitOp], num_qubits: int) -> Iterator[tuple[CircuitO
             yield from ((op, cond) for op in run)
 
 
-def _apply(amps: np.ndarray, step: GateOp | np.ndarray, num_qubits: int) -> None:
-    if isinstance(step, np.ndarray):
-        amps *= step
-    else:
-        _apply_gate_kernel(amps.reshape(1, -1), step, num_qubits)
+def _branches(circuit: Circuit) -> list[tuple[np.ndarray, int, float]]:
+    """The engine behind ``simulate_state`` and ``run_circuit_exact``: check
+    ``circuit``, then run it from |0...0>, splitting on every measurement into
+    branches of (state, classical bits as a mask with bit k = clbit k,
+    probability), at most ``MAX_BRANCHES`` of them."""
+    circuit.validate()
+    n = circuit.num_qubits
+    init = np.zeros(1 << n, dtype=complex)
+    init[0] = 1.0
+    branches: list[tuple[np.ndarray, int, float]] = [(init, 0, 1.0)]
+    for op, cond in _fused(circuit.ops, n):
+        if isinstance(op, MeasureOp):
+            mask1 = (np.arange(1 << n) >> op.qubit) & 1 == 1
+            outcomes = []
+            for branch in branches:
+                p1 = float(np.sum(np.abs(branch[0][mask1]) ** 2))
+                outcomes += [(branch, o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if p > 0.0]
+            if len(outcomes) > MAX_BRANCHES:
+                raise ValueError(
+                    f"measuring qubit {op.qubit} would make {len(outcomes)} branches, "
+                    f"more than MAX_BRANCHES={MAX_BRANCHES}"
+                )
+            split: list[tuple[np.ndarray, int, float]] = []
+            for (amps, bits, prob), outcome, p_sel in outcomes:
+                camps = amps.copy()
+                camps[mask1 != bool(outcome)] = 0.0
+                camps /= np.sqrt(p_sel)
+                split.append((camps, (bits & ~(1 << op.clbit)) | (outcome << op.clbit), prob * p_sel))
+            branches = split
+            continue
+        for amps, bits, _ in branches:
+            if cond is None or (bits >> cond[0]) & 1 == cond[1]:
+                if isinstance(op, np.ndarray):
+                    amps *= op
+                else:
+                    _apply_gate_kernel(amps.reshape(1, -1), op, n)
+    return branches
 
 
 def simulate_state(circuit: Circuit) -> np.ndarray:
     """Amplitudes (length 2**n) of the final state of a purely unitary circuit
-    (no measurements, no conditions) started in |0...0>."""
-    circuit.validate()
-    if any(isinstance(op, MeasureOp) or op.classical_condition is not None for op in circuit.ops):
+    (no measurements, so no conditions) started in |0...0>."""
+    if any(isinstance(op, MeasureOp) for op in circuit.ops):
         raise ValueError("simulate_state only supports unitary circuits")
-    amps = np.zeros(1 << circuit.num_qubits, dtype=complex)
-    amps[0] = 1.0
-    for step, _ in _fused(circuit.ops, circuit.num_qubits):
-        _apply(amps, step, circuit.num_qubits)
+    ((amps, _, _),) = _branches(circuit)
     return amps
 
 
@@ -361,37 +385,8 @@ def run_circuit_exact(circuit: Circuit) -> np.ndarray:
     condition is handled without Monte-Carlo error.  A measurement that would
     leave more than ``MAX_BRANCHES`` branches raises ``ValueError`` before
     their states are allocated."""
-    circuit.validate()
-    n = circuit.num_qubits
-    basis = np.arange(1 << n)
-    init = np.zeros(1 << n, dtype=complex)
-    init[0] = 1.0
-    # each branch: state, classical bits as a mask (bit k = clbit k), probability
-    branches: list[tuple[np.ndarray, int, float]] = [(init, 0, 1.0)]
-    for op, cond in _fused(circuit.ops, n):
-        if isinstance(op, MeasureOp):
-            mask1 = (basis >> op.qubit) & 1 == 1
-            outcomes = []
-            for branch in branches:
-                p1 = float(np.sum(np.abs(branch[0][mask1]) ** 2))
-                outcomes += [(branch, o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if p > 0.0]
-            if len(outcomes) > MAX_BRANCHES:
-                raise ValueError(
-                    f"measuring qubit {op.qubit} would make {len(outcomes)} branches, "
-                    f"more than MAX_BRANCHES={MAX_BRANCHES}"
-                )
-            split: list[tuple[np.ndarray, int, float]] = []
-            for (amps, bits, prob), outcome, p_sel in outcomes:
-                camps = amps.copy()
-                camps[mask1 != bool(outcome)] = 0.0
-                camps /= np.sqrt(p_sel)
-                split.append((camps, (bits & ~(1 << op.clbit)) | (outcome << op.clbit), prob * p_sel))
-            branches = split
-        else:
-            for amps, bits, _ in branches:
-                if cond is None or (bits >> cond[0]) & 1 == cond[1]:
-                    _apply(amps, op, n)
-    law = np.zeros(1 << circuit.num_clbits)
+    branches = _branches(circuit)
+    law = np.zeros(1 << circuit.num_clbits)  # num_clbits is validated by now
     for _, bits, prob in branches:
         law[bits] += prob
     return law

@@ -249,6 +249,10 @@ def test_sampled_neuron_report_keeps_its_bytes(capsys):
         ["neuron", "--weight", "1", "--conditional", "--noise", "0.05,0.03"],
         ["neuron", "--weight", "1", "--conditional", "--mitigate"],
         ["neuron", "--weight", "12", "--sweep", "--conditional"],
+        # the sweeps run every input, and the format is read only with --out
+        ["neuron", "--weight", "12", "--sweep", "--input", "5"],
+        ["neuron", "--weight", "1", "--conditional", "--input", "3"],
+        ["network", "--format", "csv"],
         # past the int64 range of the multinomial draw
         ["network", "--eval", "sampled", "--shots", "100000000000000000000"],
         ["neuron", "--eval", "sampled", "--shots", "100000000000000000000"],

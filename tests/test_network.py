@@ -2,6 +2,7 @@
 their equivalence, and the line-recognition fixture."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -21,6 +22,7 @@ from qffnn.network import (
     feedforward_input,
     hybrid_exact,
     line_recognition_network,
+    mode_circuit,
     output_probability,
     sampled_counts,
 )
@@ -35,6 +37,7 @@ from qffnn.neuron import (
 )
 from qffnn.simulator import (
     LAW_ATOL,
+    MAX_BRANCHES,
     MAX_QUBITS,
     Circuit,
     GateOp,
@@ -521,6 +524,36 @@ def test_nodes_sharing_qubits_within_a_layer_run_only_through_hybrid_exact():
         coherent_exact(net, label(13))
     with pytest.raises(UnsupportedTopology, match="share qubits"):
         sampled_counts(net, label(13), "coherent", 100, np.random.default_rng(0))
+
+
+def test_mode_circuit_maps_each_mode_to_its_circuit():
+    vec = label(13)
+    assert mode_circuit(NET, vec, "hybrid") == build_hybrid_circuit(NET, vec)
+    assert mode_circuit(NET, vec, "coherent") == coherent_measured_circuit(NET, vec)
+    with pytest.raises(ValueError, match="unknown mode 'both'"):
+        mode_circuit(NET, vec, "both")
+    with pytest.raises(ValueError, match="unknown mode 'both'"):
+        sampled_counts(NET, vec, "both", 100, np.random.default_rng(0))
+
+
+def test_forward_pass_width_cap_is_checked_before_allocating():
+    # a 40-node layer's law would hold 2**40 floats, 8 TiB; the width is checked first
+    def wide_network(width: int) -> NetworkSpec:
+        first = LayerSpec(tuple(NeuronSpec(label(12), (0, 1), 2) for _ in range(width)))
+        out = LayerSpec((NeuronSpec(label(1), (0, 1), 2),))
+        return NetworkSpec((first, out), ((tuple(range(4)),),))
+
+    assert 1 << 13 == MAX_BRANCHES
+    tracemalloc.start()
+    try:
+        for width in (14, 40):
+            with pytest.raises(ValueError, match=f"layer of {width} nodes"):
+                hybrid_exact(wide_network(width), label(13))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert 0.0 <= hybrid_exact(wide_network(13), label(13)).p_out <= 1.0
 
 
 def test_input_length_mismatch_is_rejected():

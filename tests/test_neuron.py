@@ -183,7 +183,7 @@ def test_synthesis_exhaustive(num_qubits):
 def hsgs_state(vec: BinaryVector) -> np.ndarray:
     gates, sign = hypergraph_sign_synthesis(vec)
     n = vec.num_qubits
-    return sign * simulate_state(Circuit(n).extend([h(q) for q in range(n)] + gates))
+    return sign * simulate_state(Circuit(n).append(*(h(q) for q in range(n)), *gates))
 
 
 @pytest.mark.parametrize("m", [2, 4, 8])

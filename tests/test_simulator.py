@@ -56,8 +56,8 @@ def random_gate(num_qubits: int, rng: np.random.Generator) -> GateOp:
 
 def random_unitary_circuit(num_qubits: int, rng: np.random.Generator) -> Circuit:
     """Hadamard on every qubit, then six random gates."""
-    circuit = Circuit(num_qubits).extend([h(q) for q in range(num_qubits)])
-    return circuit.extend([random_gate(num_qubits, rng) for _ in range(6)])
+    circuit = Circuit(num_qubits).append(*(h(q) for q in range(num_qubits)))
+    return circuit.append(*(random_gate(num_qubits, rng) for _ in range(6)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +366,7 @@ def conditioned_runs(draw) -> Circuit:
     between them, measurements inside runs and conditions that change in the
     middle of a run."""
     num_qubits, num_clbits = draw(st.integers(2, 7)), draw(st.integers(1, 3))
-    circuit = Circuit(num_qubits, num_clbits).extend([h(q) for q in range(num_qubits)])
+    circuit = Circuit(num_qubits, num_clbits).append(*(h(q) for q in range(num_qubits)))
     written: list[int] = []
     cond = None
     for _ in range(draw(st.integers(1, 40))):
@@ -445,20 +445,20 @@ def test_deferred_measurement_identity(seed):
     conditioned_kind = rng.choice(["Z", "X"])
 
     hybrid = Circuit(num_qubits, num_qubits)
-    hybrid.extend(prefix)
+    hybrid.append(*prefix)
     hybrid.measure(measured, 0)
     hybrid.append(GateOp(conditioned_kind, (target,)).conditioned_on(0, 1))
-    hybrid.extend(suffix)
+    hybrid.append(*suffix)
     for clbit, q in enumerate(others, start=1):
         hybrid.measure(q, clbit)
 
     deferred = Circuit(num_qubits, num_qubits)
-    deferred.extend(prefix)
+    deferred.append(*prefix)
     if conditioned_kind == "Z":
         deferred.append(GateOp("CZ", (measured, target)))
     else:
         deferred.append(mcx((measured,), target))
-    deferred.extend(suffix)
+    deferred.append(*suffix)
     deferred.measure(measured, 0)
     for clbit, q in enumerate(others, start=1):
         deferred.measure(q, clbit)
