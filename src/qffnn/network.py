@@ -105,10 +105,6 @@ class NetworkSpec:
                 if any(not 0 <= f < len(layers[i].neurons) for f in feeders):
                     raise ValueError("synapse references a missing neuron")
 
-    @property
-    def output_neuron(self) -> NeuronSpec:
-        return self.layers[-1].neurons[0]
-
 
 @dataclass(frozen=True, slots=True)
 class RunResult:

@@ -78,14 +78,6 @@ class BinaryVector:
     def label(self) -> int:
         return self.mask
 
-    def negated(self) -> "BinaryVector":
-        return BinaryVector.from_label(self.mask ^ ((1 << self.m) - 1), self.m)
-
-    def dot(self, other: "BinaryVector") -> int:
-        if other.m != self.m:
-            raise ValueError("length mismatch")
-        return self.m - 2 * (self.mask ^ other.mask).bit_count()
-
 
 @dataclass(frozen=True, slots=True)
 class NeuronSpec:
@@ -194,14 +186,6 @@ def neuron_circuit(input_vec: BinaryVector, weight_vec: BinaryVector) -> Circuit
     n = input_vec.num_qubits
     flips, _ = hypergraph_sign_synthesis(input_vec)
     return Circuit(n + 1, 1, node_ops(weight_vec, range(n), flips, n)).measure(n, 0)
-
-
-def activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) -> float:
-    """Closed-form activation (i.w)**2 / m**2, the oracle the circuits must match."""
-    if input_vec.m != weight_vec.m:
-        raise ValueError("length mismatch")
-    d = input_vec.dot(weight_vec)
-    return (d * d) / (input_vec.m * input_vec.m)
 
 
 def simulated_activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) -> float:

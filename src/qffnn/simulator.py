@@ -116,10 +116,6 @@ def x(qubit: int) -> GateOp:
     return GateOp("X", (qubit,))
 
 
-def z(qubit: int) -> GateOp:
-    return GateOp("Z", (qubit,))
-
-
 def mcx(controls: Sequence[int], target: int) -> GateOp:
     return GateOp("MCX", (target,), tuple(controls))
 

@@ -1,4 +1,6 @@
-"""Dense reference simulator for the tests; it shares no code with the engine.
+"""Test references that use only the package's data types, none of its
+computations: the closed-form node activation, a reader of circuit listings,
+and a dense simulator and per-shot sampler.
 
 A 2x2 matrix acts on qubit q through the amplitudes viewed with shape
 (2**(n-1-q), 2, 2**q).  A gate with target t and controls C is the operator
@@ -8,6 +10,7 @@ their first qubit as t).  Outcome b of a measurement applies diag(1 - b, b).
 
 import numpy as np
 
+from qffnn.neuron import BinaryVector
 from qffnn.simulator import Circuit, GateOp, MeasureOp
 
 _X, _Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
@@ -15,6 +18,44 @@ _MATRICES = {"H": (_X + _Z) / np.sqrt(2.0), "X": _X, "MCX": _X, "Z": _Z, "CZ": _
 # U - 1 per gate kind, complex so that no product casts
 U_MINUS_1 = {kind: (u - np.eye(2)).astype(complex) for kind, u in _MATRICES.items()}
 P1 = np.diag([0.0, 1.0]).astype(complex)
+
+
+def dot(a: BinaryVector, b: BinaryVector) -> int:
+    """Dot product of two sign vectors of the same length, from their entries."""
+    return sum(x * y for x, y in zip(a.entries, b.entries, strict=True))
+
+
+def activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) -> float:
+    """Closed-form activation (i.w)**2 / m**2, the oracle the circuits must match."""
+    d = dot(input_vec, weight_vec)
+    return (d * d) / (input_vec.m * input_vec.m)
+
+
+def negated(vec: BinaryVector) -> BinaryVector:
+    return BinaryVector(tuple(-e for e in vec.entries))
+
+
+def z(qubit: int) -> GateOp:
+    return GateOp("Z", (qubit,))
+
+
+def read_listing(text: str) -> Circuit:
+    """Circuit from a listing that ``circuit_text.format_circuit`` wrote; it
+    reads only well-formed listings and checks nothing."""
+    (_, qubits), (_, clbits), *lines = (line.split() for line in text.splitlines())
+    ops: list = []
+    for kind, *tokens in lines:
+        if kind == "MEASURE":
+            ops.append(MeasureOp(int(tokens[0]), int(tokens[2][1:])))
+            continue
+        condition = None
+        if "if" in tokens:
+            *tokens, _, clause = tokens
+            condition = tuple(map(int, clause[1:].split("=")))
+        listed = tuple(map(int, tokens))
+        split = 1 if kind == "MCX" else len(listed)  # MCX lists its target first
+        ops.append(GateOp(kind, listed[:split], listed[split:], condition))
+    return Circuit(int(qubits), int(clbits), ops)
 
 
 def _on_qubit(mat: np.ndarray, amps: np.ndarray, qubit: int) -> np.ndarray:

@@ -23,14 +23,13 @@ from qffnn.network import (
 )
 from qffnn.neuron import (
     BinaryVector,
-    activation_probability,
     hypergraph_sign_synthesis,
     simulated_activation_probability,
     weight_transform_ops,
 )
 from qffnn.noise import ReadoutErrorModel, mitigate, noisy_counts
 from qffnn.simulator import run_circuit
-from reference import rew_amplitudes, run_gates
+from reference import activation_probability, rew_amplitudes, run_gates
 
 ATOL = 1e-12
 NET = line_recognition_network()
@@ -138,7 +137,7 @@ def test_criterion_06_weight_transform_constraint():
 
 
 def test_criterion_07_conditional_output_law_is_xor():
-    w_out = NET.output_neuron.weight
+    w_out = NET.layers[-1].neurons[0].weight
     for b1, b2 in product((0, 1), repeat=2):
         fed = feedforward_input((b1, b2))
         assert activation_probability(fed, w_out) == float(b1 ^ b2)

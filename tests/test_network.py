@@ -29,7 +29,6 @@ from qffnn.network import (
 from qffnn.neuron import (
     BinaryVector,
     NeuronSpec,
-    activation_probability,
     hypergraph_sign_synthesis,
     neuron_circuit,
     node_ops,
@@ -45,7 +44,7 @@ from qffnn.simulator import (
     run_circuit_exact,
     simulate_state,
 )
-from reference import marginal_probabilities
+from reference import activation_probability, marginal_probabilities
 
 ATOL = 1e-12
 NET = line_recognition_network()
@@ -152,7 +151,7 @@ def test_hybrid_exact_agrees_with_convolution_oracle():
 
 
 def test_conditional_output_law_is_xor():
-    w_out = NET.output_neuron.weight
+    w_out = NET.layers[-1].neurons[0].weight
     for b1, b2 in product((0, 1), repeat=2):
         fed = feedforward_input((b1, b2))
         assert activation_probability(fed, w_out) == float(b1 ^ b2)
