@@ -38,11 +38,11 @@ import numpy as np
 
 from .neuron import BinaryVector, NeuronSpec, hypergraph_sign_synthesis, node_ops, simulated_activation_probability
 from .simulator import (
-    LAW_ATOL,
     MAX_BRANCHES,
     MAX_QUBITS,
     Circuit,
     MeasureOp,
+    clamp_probability,
     defer_measurements,
     reduced_density_matrix,
     run_circuit,
@@ -180,16 +180,8 @@ def _layer_laws(net: NetworkSpec, input_vec: BinaryVector, activations: Activati
         yield law
 
 
-def _clamp_probability(p: float) -> float:
-    # LAW_ATOL (run_circuit's slack on a law's sum), not ATOL (the bound two
-    # exact results agree to): this only has to catch non-probabilities
-    if not -LAW_ATOL <= p <= 1.0 + LAW_ATOL:
-        raise ValueError(f"probability {p} outside [0, 1]")
-    return min(max(p, 0.0), 1.0)
-
-
 def _result(input_vec: BinaryVector, p: float, mode: str) -> RunResult:
-    p = _clamp_probability(p)
+    p = clamp_probability(p)
     return RunResult(input_vec.label(), p, mode, None, p > DEFAULT_THRESHOLD)
 
 

@@ -33,7 +33,7 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .simulator import Circuit, GateOp, h, mcx, simulate_state, subset_xor_transform, x
+from .simulator import Circuit, GateOp, clamp_probability, h, mcx, simulate_state, subset_xor_transform, x
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -190,10 +190,11 @@ def neuron_circuit(input_vec: BinaryVector, weight_vec: BinaryVector) -> Circuit
 
 def simulated_activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) -> float:
     """Activation computed by statevector simulation of the node's unitary part:
-    the Born weight of |1...1> after the node's gates up to, not including, the MCX."""
+    the Born weight of |1...1> after the node's gates up to, not including, the
+    MCX, clamped into [0, 1]."""
     if input_vec.m != weight_vec.m:
         raise ValueError("length mismatch")
     n = input_vec.num_qubits
     flips, _ = hypergraph_sign_synthesis(input_vec)
     amps = simulate_state(Circuit(n, 0, node_ops(weight_vec, range(n), flips, None)))
-    return float(abs(amps[input_vec.m - 1]) ** 2)
+    return clamp_probability(float(abs(amps[input_vec.m - 1]) ** 2))

@@ -201,14 +201,14 @@ def test_dump_circuit_listings_keep_their_bytes(capsys):
 # neuron report on stdout; byte-identical output for a seed is a contract, so
 # a change of these digests is a change of the program's results
 RESULTS_SHA256 = {
-    ("network", "--eval", "exact"): "552540d485836563492b05a3a4a6cedac9b61eef879fb79cee8b5bbb444df09f",
-    ("network", "--eval", "exact", "--format", "csv"): "0e6a7842606c564c8587a66b9838a1a4e1c2c85c8a36abe95c802b7bd8ea18ab",
-    ("network", "--mode", "hybrid", "--eval", "exact"): "39f82dddde34fed8a59c4d26381a16f8c9052420d9ef9e0e48eecc7b7bc8821c",
-    ("network", "--mode", "coherent", "--eval", "exact"): "15b204e968733cf57a342c8c310b1456bc49cb67db8aaf010a6f884487c6d10d",
-    ("network", "--weights", "3,5", "--eval", "exact"): "5e72756bdd54f2cc5ff91feff7d244ca5e7622012902d8576998979f8d3f5b00",
-    ("network", "--eval", "sampled"): "fe1b684183f570354fb7082951753275b817a4889155de6f6a6f8d8000d008a7",
+    ("network", "--eval", "exact"): "89639673da0024d9ae70b2cead7c69676cd14aae9c409d1072994ec5f2b2178f",
+    ("network", "--eval", "exact", "--format", "csv"): "16a06e94659baab1cecc7d9a731b8b2e9a2621f488e9f4d5ce3b241fa66d3501",
+    ("network", "--mode", "hybrid", "--eval", "exact"): "5b75bf3e7eab712587de858c51ba259630c0ae091307a4433e2fc2126473d8b3",
+    ("network", "--mode", "coherent", "--eval", "exact"): "9fe44c52785eb24782dcf2683ce79f98f6c78b4243913f7d088fdbf6f073f278",
+    ("network", "--weights", "3,5", "--eval", "exact"): "eaa92c899e06ec7142fd2082d975777617459ac7af9bc02c5c97e6ff5ba85f78",
+    ("network", "--eval", "sampled"): "be072aded06acc58a2fccc90e816c7e2bebc1e4df16a898fcc0a17e985348e34",
     ("network", "--eval", "sampled", "--noise", "0.05,0.03", "--mitigate"): (
-        "898737ae1d0aa5682dec0d2cb17691a517490ab8d5174578a52202573e2ea368"
+        "a713ffc3943a286ecefe23b5f5304d33f9b213532d56ea31982759122cab727f"
     ),
 }
 NEURON_REPORT_SHA256 = "f0e32744a5d0a7f064404eb32c8f112d9880f87833a66ee5e7a2c82f5e3a7a6a"

@@ -15,7 +15,6 @@ from qffnn.network import (
     LayerSpec,
     NetworkSpec,
     UnsupportedTopology,
-    _clamp_probability,
     build_hybrid_circuit,
     coherent_exact,
     coherent_measured_circuit,
@@ -40,6 +39,7 @@ from qffnn.simulator import (
     MAX_QUBITS,
     Circuit,
     GateOp,
+    clamp_probability,
     reduced_density_matrix,
     run_circuit_exact,
     simulate_state,
@@ -588,13 +588,13 @@ def test_verdict_uses_strict_threshold():
 
 @pytest.mark.parametrize("p,clamped", [(-LAW_ATOL / 2, 0.0), (1 + LAW_ATOL / 2, 1.0), (0.375, 0.375)])
 def test_probability_clamp_absorbs_rounding_within_law_atol(p, clamped):
-    assert _clamp_probability(p) == clamped
+    assert clamp_probability(p) == clamped
 
 
 @pytest.mark.parametrize("p", [1 + 2 * LAW_ATOL, -2 * LAW_ATOL, math.nan])
 def test_probability_clamp_rejects_values_past_law_atol(p):
     with pytest.raises(ValueError, match="outside"):
-        _clamp_probability(p)
+        clamp_probability(p)
 
 
 def test_run_result_consistency():

@@ -347,6 +347,16 @@ def test_simulated_activation_agrees_with_ancilla_route():
         assert abs(direct - neuron_ancilla_probability(input_label, weight_label)) < ATOL
 
 
+@pytest.mark.parametrize("m", [2, 4])
+def test_simulated_activation_is_a_probability_for_every_pair(m):
+    # unclamped, the Born weight of a matched pair can read 1 + 4.4e-16
+    vectors = [BinaryVector.from_label(n, m) for n in range(1 << m)]
+    for vec in vectors:
+        for weight in vectors:
+            assert 0.0 <= simulated_activation_probability(vec, weight) <= 1.0
+        assert simulated_activation_probability(vec, vec) == 1.0
+
+
 def test_neuron_circuit_sampling():
     vec = BinaryVector.from_label(3, 4)
     w = BinaryVector.from_label(12, 4)

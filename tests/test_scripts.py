@@ -14,10 +14,10 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 # output for a seed is a contract, so a change of these digests is a change
 # of the program's results
 OUTPUT_SHA256 = {
-    "results/line_classification_exact.json": "552540d485836563492b05a3a4a6cedac9b61eef879fb79cee8b5bbb444df09f",
-    "results/line_classification_sampled.json": "872657a904fed87b031d88078d53e09cd16c8e43d1d13d254f5d45107610eeca",
-    "results/line_classification_combined.json": "71b109b8763083ae5b4175d7eed121c3c9deb02d6eb636f7fea9b99302333a15",
-    "results/noise_study.json": "4dc7de4ccd25531487de0ee0164ff887edb51bac16b9ed02067a12dd747dc2ed",
+    "results/line_classification_exact.json": "89639673da0024d9ae70b2cead7c69676cd14aae9c409d1072994ec5f2b2178f",
+    "results/line_classification_sampled.json": "536b97964559f7cde39928cbd52efb447c4022aafe5aa57dfcbe57bc704da48b",
+    "results/line_classification_combined.json": "18555643785ed023157118b0345a44c3c7121757e03ede49f68175ded5d691e2",
+    "results/noise_study.json": "7d5c9b023bddac344cc20c653652f47d9ae2c3fdb78fd7f6e092f5b7045cdfd0",
 }
 
 
