@@ -23,7 +23,7 @@ from .experiments import (
     run_neuron_experiment,
     summarize_network_results,
 )
-from .network import DEFAULT_THRESHOLD, line_recognition_network, mode_circuit
+from .network import DEFAULT_THRESHOLD, LINE_WEIGHTS, line_recognition_network, mode_circuit
 from .neuron import BinaryVector
 
 
@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_neu = sub.add_parser("neuron", help="single-node activation")
     p_neu.add_argument("--input", default=None, help="input label or entries, default 0")
-    p_neu.add_argument("--weight", default="12", help="weight label or entries")
+    p_neu.add_argument("--weight", default=None, help="weight label or entries, default 12 (1:-1 with --conditional)")
     _add_common(p_neu)
     p_neu.add_argument("--sweep", action="store_true", help="iterate all input labels")
     p_neu.add_argument("--conditional", action="store_true", help="iterate fed-forward bit patterns")
@@ -112,7 +112,11 @@ def _cmd_neuron(args: argparse.Namespace) -> int:
         raise ValueError("--sweep and --conditional exclude each other")
     if (args.sweep or args.conditional) and (args.evaluation == "sampled" or args.input is not None):
         raise ValueError("--sweep and --conditional run every input exactly: they take no --input, --eval sampled, --noise or --mitigate")
-    weight = parse_weight(args.weight, m=2 if args.conditional else 4)
+    # by default the line network's first hidden node, or its output node for --conditional
+    if args.weight is None:
+        weight = LINE_WEIGHTS[2 if args.conditional else 0]
+    else:
+        weight = parse_weight(args.weight, m=2 if args.conditional else 4)
     if args.sweep or args.conditional:
         # fed-forward bit k is entry k of the input: bit 0 rightmost, as in counts keys
         for row in neuron_sweep(weight):

@@ -96,6 +96,19 @@ def test_closed_stdout_exits_141_without_a_message(unbuffered):
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+@pytest.mark.parametrize(
+    "argv, weight",
+    [(["neuron"], "12"), (["neuron", "--sweep"], "12"), (["neuron", "--conditional"], "1:-1")],
+    ids=["single", "sweep", "conditional"],
+)
+def test_neuron_weight_defaults_to_the_line_network_node_the_run_fits(argv, weight, capsys):
+    # a single node and --sweep take hidden weight 12, --conditional the output weight (+1, -1)
+    assert main(argv) == 0
+    bare = capsys.readouterr()
+    assert main([*argv, "--weight", weight]) == 0
+    assert bare == capsys.readouterr()
+
+
 def test_neuron_sampled_reports_counts(capsys):
     assert main(["neuron", "--input", "12", "--weight", "12", "--eval", "sampled", "--shots", "500"]) == 0
     report = json.loads(capsys.readouterr().out)
