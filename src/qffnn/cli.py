@@ -112,11 +112,9 @@ def _cmd_neuron(args: argparse.Namespace) -> int:
         raise ValueError("--sweep and --conditional exclude each other")
     if (args.sweep or args.conditional) and (args.evaluation == "sampled" or args.input is not None):
         raise ValueError("--sweep and --conditional run every input exactly: they take no --input, --eval sampled, --noise or --mitigate")
-    # by default the line network's first hidden node, or its output node for --conditional
-    if args.weight is None:
-        weight = LINE_WEIGHTS[2 if args.conditional else 0]
-    else:
-        weight = parse_weight(args.weight, m=2 if args.conditional else 4)
+    # the default is the line network's first hidden node, or its output node for --conditional
+    default = LINE_WEIGHTS[2 if args.conditional else 0]
+    weight = default if args.weight is None else parse_weight(args.weight, m=default.m)
     if args.sweep or args.conditional:
         # fed-forward bit k is entry k of the input: bit 0 rightmost, as in counts keys
         for row in neuron_sweep(weight):

@@ -189,9 +189,8 @@ def neuron_circuit(input_vec: BinaryVector, weight_vec: BinaryVector) -> Circuit
 
 
 def simulated_activation_probability(input_vec: BinaryVector, weight_vec: BinaryVector) -> float:
-    """Activation computed by statevector simulation of the node's unitary part:
-    the Born weight of |1...1> after the node's gates up to, not including, the
-    MCX, clamped into [0, 1]."""
+    """Activation by statevector simulation of the node's unitary part: the Born weight
+    of |1...1> after the node's gates up to, not including, the MCX, clamped into [0, 1]."""
     if input_vec.m != weight_vec.m:
         raise ValueError("length mismatch")
     n = input_vec.num_qubits

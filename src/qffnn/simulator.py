@@ -53,9 +53,8 @@ DIAGONAL_KINDS = frozenset({"Z", "CZ", "MCZ"})
 
 
 def clamp_probability(p: float) -> float:
-    """``p`` clamped into [0, 1]; rounding past either end by up to LAW_ATOL
-    (not ATOL, the bound two exact results agree to) is absorbed, anything
-    further is not a probability and raises ``ValueError``."""
+    """``p`` clamped into [0, 1], absorbing rounding by up to LAW_ATOL (not ATOL, the bound
+    two exact results agree to); anything further is no probability and raises ``ValueError``."""
     if not -LAW_ATOL <= p <= 1.0 + LAW_ATOL:
         raise ValueError(f"probability {p} outside [0, 1]")
     return min(max(p, 0.0), 1.0)
