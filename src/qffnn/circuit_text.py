@@ -10,8 +10,8 @@ Grammar (one op per line, ops in execution order):
     MCX <target> <control> [...]     NOT on target where all controls are 1
     MEASURE <q> -> c<k>              measure qubit q into classical bit k
 
-Any gate line may end with ``if c<k>=<v>`` to condition it on classical bit k
-holding v.  Qubit and classical-bit indices are the circuit's own, and ops
+Only a Z, CZ or MCZ line may end with ``if c<k>=1``: it fires when classical
+bit k reads 1.  Qubit and classical-bit indices are the circuit's own, and ops
 are listed in the circuit's order, so the same circuit gives the same text.
 """
 
@@ -25,8 +25,7 @@ def format_op(op: GateOp | MeasureOp) -> str:
         return f"MEASURE {op.qubit} -> c{op.clbit}"
     line = " ".join([op.kind, *map(str, op.targets + op.controls)])
     if op.classical_condition is not None:
-        clbit, value = op.classical_condition
-        line += f" if c{clbit}={value}"
+        line += f" if c{op.classical_condition}=1"
     return line
 
 

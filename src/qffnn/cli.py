@@ -34,6 +34,26 @@ def _parse_noise(value: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+class _StoreOnce(argparse.Action):
+    """The default store action: refuses an option given twice, abbreviated or
+    not, and records each given option's dest in the namespace's ``given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in namespace.given:
+            raise ValueError(f"{self.option_strings[0]} is given more than once")
+        namespace.given = namespace.given | {self.dest}
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, subparsers included, whose options may be given once each."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+        self.set_defaults(given=frozenset())
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eval", default="exact", choices=("exact", "sampled"), dest="evaluation")
     parser.add_argument("--shots", type=int, default=None, help=f"default {DEFAULT_SHOTS}")
@@ -43,7 +63,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qffnn", description=__doc__)
+    parser = _Parser(prog="qffnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_net = sub.add_parser("network", help="classify every 2x2 input pattern")
@@ -149,10 +169,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand.  Exit 0 on success, 1 when the network verdicts
     miss the target set, 2 on a usage error, on input rejected with
     ``ValueError`` or on an ``--out`` file that cannot be written (``OSError``);
-    the last two are reported as one line on stderr.  Stdout closed early, as
-    by ``| head``, exits 141 (128 + SIGPIPE) without a message."""
-    args = build_parser().parse_args(argv)
+    the last two are reported as one line on stderr, as is an option given
+    twice.  Stdout closed early, as by ``| head``, exits 141 (128 + SIGPIPE)
+    without a message."""
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "render":
             print(render_pattern(args.label))
             code = 0

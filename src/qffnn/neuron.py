@@ -192,7 +192,7 @@ def simulated_activation_probability(input_vec: BinaryVector, weight_vec: Binary
     """Activation by statevector simulation of the node's unitary part: the Born weight
     of |1...1> after the node's gates up to, not including, the MCX, clamped into [0, 1]."""
     if input_vec.m != weight_vec.m:
-        raise ValueError("length mismatch")
+        raise ValueError(f"input has {input_vec.m} entries, weight {weight_vec.m}; they must match")
     n = input_vec.num_qubits
     flips, _ = hypergraph_sign_synthesis(input_vec)
     amps = simulate_state(Circuit(n, 0, node_ops(weight_vec, range(n), flips, None)))

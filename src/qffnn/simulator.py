@@ -12,7 +12,8 @@ Conventions used throughout the package:
   decomposition into elementary gates is performed.
 
 Supported gates: H, X, Z, CZ, MCZ (phase flip where every participating qubit
-is 1) and MCX (NOT on the target where every control is 1).
+is 1) and MCX (NOT on the target where every control is 1).  Classical
+control is a conditioned phase flip: a Z, CZ or MCZ that fires on a bit of 1.
 
 One branch loop is the engine.  It checks the circuit (``Circuit.validate``
 caps both registers at ``MAX_QUBITS``) before it allocates a state, applies
@@ -27,8 +28,8 @@ shot on its own.
 
 ``defer_measurements`` rewrites a circuit with mid-circuit measurement and
 classical control into one whose measurements all come last, turning each
-classically conditioned gate into a quantum-controlled one; the outcome law
-is unchanged.
+conditioned flip into a flip with the measured qubit as one more participant;
+the outcome law is unchanged.
 """
 
 from __future__ import annotations
@@ -66,14 +67,14 @@ class GateOp:
 
     For the diagonal gates (Z, CZ, MCZ) the target/control split is purely
     cosmetic; participants are canonicalized into ``targets`` in sorted order.
-    ``classical_condition`` is ``(clbit, value)``: the gate fires only on
-    shots where that classical bit currently holds ``value``.
+    ``classical_condition`` is a classical bit: the gate fires only on shots
+    where that bit currently reads 1.  Only Z, CZ and MCZ take one.
     """
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    classical_condition: tuple[int, int] | None = None
+    classical_condition: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in GATE_KINDS:
@@ -101,10 +102,9 @@ class GateOp:
                 raise ValueError("MCX takes one target and at least one control")
             controls = tuple(sorted(controls))
         if self.classical_condition is not None:
-            clbit, value = self.classical_condition
-            if value not in (0, 1):
-                raise ValueError("classical condition value must be 0 or 1")
-            object.__setattr__(self, "classical_condition", (int(clbit), int(value)))
+            if self.kind not in DIAGONAL_KINDS:
+                raise ValueError(f"only Z, CZ and MCZ take a classical condition, not {self.kind}")
+            object.__setattr__(self, "classical_condition", int(self.classical_condition))
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
 
@@ -112,8 +112,8 @@ class GateOp:
     def participants(self) -> tuple[int, ...]:
         return self.targets + self.controls
 
-    def conditioned_on(self, clbit: int, value: int = 1) -> "GateOp":
-        return replace(self, classical_condition=(clbit, value))
+    def conditioned_on(self, clbit: int) -> "GateOp":
+        return replace(self, classical_condition=clbit)
 
 
 def h(qubit: int) -> GateOp:
@@ -173,8 +173,8 @@ class Circuit:
             for q in op.participants:
                 if not 0 <= q < self.num_qubits:
                     raise ValueError(f"qubit {q} out of range for {self.num_qubits}-qubit circuit")
-            if op.classical_condition is not None:
-                clbit, _ = op.classical_condition
+            clbit = op.classical_condition
+            if clbit is not None:
                 if not 0 <= clbit < self.num_clbits:
                     raise ValueError(f"condition bit {clbit} out of range")
                 if clbit not in written:
@@ -184,12 +184,11 @@ class Circuit:
 def defer_measurements(circuit: Circuit) -> Circuit:
     """Equivalent circuit with every measurement moved to the end, in order.
 
-    A gate conditioned on classical bit c holding v becomes the same gate with
-    the qubit last measured into c as an extra control (Z, CZ -> CZ, MCZ;
-    X, MCX -> MCX), wrapped in X on that qubit when v is 0.  Since no gate
-    touches a qubit after its measurement, the joint outcome law over the
-    classical bits is unchanged.  Raises ``ValueError`` for a conditioned gate
-    without a controlled form (H) and for a gate on an already measured qubit.
+    A flip on qubit set S conditioned on classical bit c becomes the flip on
+    S plus the qubit last measured into c (Z -> CZ, CZ or MCZ -> MCZ).  Since
+    no gate touches a qubit after its measurement, the joint outcome law over
+    the classical bits is unchanged.  Raises ``ValueError`` for a gate on an
+    already measured qubit.
     """
     circuit.validate()
     source: dict[int, int] = {}  # clbit -> qubit last measured into it
@@ -205,19 +204,9 @@ def defer_measurements(circuit: Circuit) -> Circuit:
         touched = measured.intersection(op.participants)
         if touched:
             raise ValueError(f"{op.kind} acts on qubit {min(touched)} after it is measured")
-        if op.classical_condition is None:
-            gates.append(op)
-            continue
-        clbit, value = op.classical_condition
-        control = source[clbit]
-        if op.kind in DIAGONAL_KINDS:
-            gate = GateOp("CZ" if op.kind == "Z" else "MCZ", op.participants + (control,))
-        elif op.kind in ("X", "MCX"):
-            gate = mcx(op.controls + (control,), op.targets[0])
-        else:
-            raise ValueError(f"conditioned {op.kind} has no controlled form")
-        flip = [] if value else [x(control)]
-        gates += flip + [gate] + flip
+        if op.classical_condition is not None:
+            op = GateOp("CZ" if op.kind == "Z" else "MCZ", op.participants + (source[op.classical_condition],))
+        gates.append(op)
     return Circuit(circuit.num_qubits, circuit.num_clbits, gates + measures)
 
 
@@ -279,7 +268,7 @@ def _diagonal_signs(gates: Iterable[GateOp], num_qubits: int) -> np.ndarray:
     return 1.0 - 2.0 * np.unpackbits(np.frombuffer(flips, np.uint8), count=1 << num_qubits, bitorder="little")
 
 
-def _fused(ops: Sequence[CircuitOp], num_qubits: int) -> Iterator[tuple[CircuitOp | np.ndarray, tuple[int, int] | None]]:
+def _fused(ops: Sequence[CircuitOp], num_qubits: int) -> Iterator[tuple[CircuitOp | np.ndarray, int | None]]:
     """(op, classical condition) pairs, with each run of diagonal gates under
     one condition folded into its +-1 diagonal; measurements end a run."""
     key = lambda op: (getattr(op, "kind", "") in DIAGONAL_KINDS, getattr(op, "classical_condition", None))
@@ -321,7 +310,7 @@ def _branches(circuit: Circuit) -> list[tuple[np.ndarray, int, float]]:
             branches = split
             continue
         for amps, bits, _ in branches:
-            if cond is None or (bits >> cond[0]) & 1 == cond[1]:
+            if cond is None or (bits >> cond) & 1:
                 if isinstance(op, np.ndarray):
                     amps *= op
                 else:

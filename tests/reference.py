@@ -51,7 +51,7 @@ def read_listing(text: str) -> Circuit:
         condition = None
         if "if" in tokens:
             *tokens, _, clause = tokens
-            condition = tuple(map(int, clause[1:].split("=")))
+            condition = int(clause[1:].split("=")[0])
         listed = tuple(map(int, tokens))
         split = 1 if kind == "MCX" else len(listed)  # MCX lists its target first
         ops.append(GateOp(kind, listed[:split], listed[split:], condition))
@@ -111,7 +111,7 @@ def outcome_law(circuit: Circuit) -> dict[str, float]:
         else:
             cond = op.classical_condition
             branches = [
-                (apply_gate(amps, op) if cond is None or bits[cond[0]] == cond[1] else amps, bits)
+                (apply_gate(amps, op) if cond is None or bits[cond] else amps, bits)
                 for amps, bits in branches
             ]
     law: dict[str, float] = {}
@@ -132,7 +132,7 @@ def sample_counts(circuit: Circuit, shots: int, rng: np.random.Generator) -> dic
                 p1 = marginal_probabilities(amps, [op.qubit])[1]
                 bits[op.clbit] = bit = int(rng.random() < p1)
                 amps = _on_qubit(np.diag([1.0 - bit, bit]), amps, op.qubit) / np.sqrt(p1 if bit else 1.0 - p1)
-            elif op.classical_condition is None or bits[op.classical_condition[0]] == op.classical_condition[1]:
+            elif op.classical_condition is None or bits[op.classical_condition]:
                 amps = apply_gate(amps, op)
         key = "".join(str(b) for b in reversed(bits))
         counts[key] = counts.get(key, 0) + 1

@@ -16,7 +16,7 @@ def test_format_single_ops():
     assert format_op(GateOp("CZ", (2, 6))) == "CZ 2 6"
     assert format_op(GateOp("MCZ", (2, 0, 1))) == "MCZ 0 1 2"
     assert format_op(mcx((0, 1), 5)) == "MCX 5 0 1"
-    assert format_op(z(6).conditioned_on(1, 1)) == "Z 6 if c1=1"
+    assert format_op(z(6).conditioned_on(1)) == "Z 6 if c1=1"
     assert format_op(MeasureOp(2, 1)) == "MEASURE 2 -> c1"
 
 
@@ -48,8 +48,8 @@ def test_round_trip_preserves_structure_and_statistics():
 
 
 def test_parse_condition_round_trip():
-    # deferred, a condition on 0 becomes a CZ or MCZ wrapped in X on the measured qubit
+    # deferred, a conditioned Z or CZ becomes a CZ or MCZ on the measured qubit as well
     circuit = Circuit(3, 1).measure(0, 0)
-    circuit.append(z(1).conditioned_on(0, 0), GateOp("CZ", (1, 2)).conditioned_on(0, 0))
+    circuit.append(z(1).conditioned_on(0), GateOp("CZ", (1, 2)).conditioned_on(0))
     for form in (circuit, defer_measurements(circuit)):
         assert read_listing(format_circuit(form)).ops == form.ops

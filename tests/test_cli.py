@@ -278,6 +278,14 @@ def test_sampled_neuron_report_keeps_its_bytes(capsys):
         # exact evaluation draws no shots, so it takes neither option
         ["network", "--eval", "exact", "--seed", "3"],
         ["neuron", "--input", "13", "--weight", "12", "--shots", "100"],
+        # an option given twice, abbreviated or not, is refused, not overwritten
+        ["neuron", "--weight", "12", "--weight", "10"],
+        ["neuron", "--wei", "12", "--weight", "10"],
+        ["neuron", "--eval", "sampled", "--seed", "1", "--seed", "2"],
+        ["network", "--mode", "hybrid", "--mode", "coherent"],
+        ["dump-circuit", "--input", "3", "--input", "4"],
+        # an input whose length is not the weight's
+        ["neuron", "--input", "1:1:1:1:1:1:1:1"],
     ],
 )
 def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):
@@ -286,6 +294,11 @@ def test_invalid_input_is_one_line_error_with_exit_2(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("qffnn: error: ")
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_a_repeated_option_is_named_in_full(capsys):
+    assert main(["neuron", "--wei", "12", "--weight", "10"]) == 2
+    assert capsys.readouterr().err == "qffnn: error: --weight is given more than once\n"
 
 
 @pytest.mark.parametrize("command", ["network", "dump-circuit"])

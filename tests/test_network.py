@@ -200,7 +200,7 @@ def test_coherent_circuit_structure():
     synapse_cz = [op for op in cz_ops if 6 in op.targets]
     assert len(synapse_cz) == 2
     assert {op.targets for op in synapse_cz} == {(2, 6), (5, 6)}
-    assert not any(isinstance(op, GateOp) and op.classical_condition for op in gates)
+    assert all(op.classical_condition is None for op in gates if isinstance(op, GateOp))
 
 
 def test_coherent_circuit_op_count_bound():

@@ -365,7 +365,7 @@ def test_neuron_circuit_sampling():
 
 
 def test_dimension_mismatch_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="input has 4 entries, weight 2; they must match"):
         simulated_activation_probability(BinaryVector.from_label(0, 4), BinaryVector.from_label(0, 2))
     with pytest.raises(ValueError):
         NeuronSpec(BinaryVector.from_label(0, 4), (0,), 1)
